@@ -1,0 +1,82 @@
+"""Byte-for-byte regression gate on the CLI output.
+
+Each command below writes with --out into its own directory; every file it
+writes (one per series for figures) must equal the file of the same name
+under tests/golden/<id>/.  The expected files were produced by this same
+harness; regenerate them only for an intended output change, with
+
+    PYTHONPATH=src python3 tests/test_golden_cli.py
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from onebitfb.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SIM = "--n-blocks 20000"
+
+COMMANDS = {
+    "ergodic_point": "ergodic --k 16 --snr-db 20 --rho 0.9 --alpha 1.5",
+    "ergodic_snr_sweep": "ergodic --k 4 --rho 0.5 --alpha 1.0 --sweep snr-db=0:20:5",
+    "ergodic_k_log_sweep": "ergodic --rho 0 --alpha 0.5 --sweep k=1:100:3:log",
+    "ergodic_suboptimal": "ergodic --k 8 --rho 0.9 --alpha suboptimal:1",
+    "ergodic_optimal_rho1": "ergodic --k 16 --rho 1 --alpha optimal",
+    "ergodic_default_alpha_sweep": "ergodic --k 16 --rho 1 --sweep snr-db=0:30:4",
+    "ergodic_jakes_json": "ergodic --doppler-hz 50 --delay-s 0.001 --alpha 0.5 --format json",
+    "wideband_k_sweep": "wideband --k 16 --rho 0.9 --alpha 2.0 --sweep k=2:1024:10:log",
+    "wideband_rho_sweep": "wideband --k 100 --alpha suboptimal:1 --sweep rho=0:1:11",
+    "wideband_default_alpha": "wideband --k 8 --rho 1",
+    "outage_long_term": "outage --k 8 --rho 0.5 --rate-bits 3 --power-mode long-term"
+    " --sweep snr-db=0:30:16",
+    "outage_short_term": "outage --k 4 --rho 0.9 --rate-bits 2 --power-mode short-term"
+    " --sweep snr-db=0:30:16",
+    "outage_explicit_jakes": "outage --k 2 --doppler-hz 50 --delay-s 0.001 --rate-nats 1"
+    " --power-mode explicit:10,40 --sweep snr-db=0:20:6",
+    "outage_fixed_alpha": "outage --k 4 --rho 0.7 --rate-bits 1 --alpha 0.5"
+    " --power-mode short-term",
+    "outage_rho_sweep_json": "outage --k 16 --snr-db 15 --rate-bits 2 --sweep rho=0:0.99:12"
+    " --format json",
+    "dmt_outdated_json": "dmt --scheme outdated --k 4 --format json",
+    "dmt_default": "dmt --k 16",
+    "simulate_rate": f"simulate --k 4 --snr-db 10 --rho 1 --alpha 1.0 --seed 5 {SIM}",
+    "simulate_rate_rho_sweep": "simulate --k 4 --snr-db 10 --rho 0.5 --alpha suboptimal:0.5"
+    f" --sweep rho=0:1:3 {SIM}",
+    "simulate_outage_long_term": "simulate --k 4 --rho 0.5 --rate-bits 1 --alpha 1"
+    f" --power-mode long-term {SIM}",
+    "simulate_outage_explicit": "simulate --k 4 --rho 0.5 --rate-bits 1"
+    f" --power-mode explicit:10,40 --sweep snr-db=0:20:3 {SIM}",
+    "figure_fig3": "figure fig3",
+    "figure_fig4": "figure fig4 --rate-bits 2",
+    "figure_fig5_json": "figure fig5 --format json",
+}
+
+
+def _run(argv: list[str], outdir: Path) -> dict[str, bytes]:
+    """Run one command with --out into ``outdir``; return the files it wrote."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    ext = "json" if "json" in argv else "csv"
+    assert main(argv + ["--out", str(outdir / f"out.{ext}")]) == 0
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+@pytest.mark.parametrize("case", sorted(COMMANDS))
+def test_output_is_byte_identical(case, tmp_path):
+    got = _run(COMMANDS[case].split(), tmp_path / case)
+    want_dir = GOLDEN / case
+    want = {p.name: p.read_bytes() for p in sorted(want_dir.iterdir())}
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name] == want[name], f"{case}: {name} differs from the golden file"
+
+
+if __name__ == "__main__":
+    for case, text in COMMANDS.items():
+        target = GOLDEN / case
+        for old in target.glob("*"):
+            old.unlink()
+        files = _run(text.split(), target)
+        print(f"{case}: {len(files)} file(s)", file=sys.stderr)
