@@ -3,7 +3,6 @@ with 1-bit, possibly delay-outdated, channel feedback."""
 
 from .channel import (
     CorrelationParams,
-    FadingPair,
     JakesParams,
     rho_from_jakes,
 )
@@ -31,6 +30,6 @@ from .outage import (
     outage_longterm_closed,
     outage_outdated,
 )
-from .specfun import MarcumArgs, QuadratureSpec, marcum_q1
+from .specfun import QuadratureSpec, marcum_q1
 
 __version__ = "0.1.0"

@@ -19,13 +19,10 @@ from .specfun import marcum_q1
 __all__ = [
     "CorrelationParams",
     "JakesParams",
-    "FadingPair",
     "DegenerateCorrelationError",
     "rho_from_jakes",
     "joint_pdf",
     "conditional_pdf_vtau",
-    "sample_pair",
-    "sample_pairs",
 ]
 
 # Treat |rho| this close to 1 as exact instantaneous feedback; the outdated
@@ -67,18 +64,6 @@ class JakesParams:
     def __post_init__(self):
         if self.doppler_hz < 0 or self.delay_s < 0:
             raise ValueError("doppler_hz and delay_s must be nonnegative")
-
-
-@dataclass(frozen=True)
-class FadingPair:
-    """Envelope at estimation time and at transmission time."""
-
-    v: float
-    v_tau: float
-
-    def __post_init__(self):
-        if self.v < 0 or self.v_tau < 0:
-            raise ValueError("envelopes are nonnegative")
 
 
 def rho_from_jakes(params: JakesParams) -> CorrelationParams:
@@ -135,23 +120,3 @@ def conditional_pdf_vtau(z, alpha: float, c: CorrelationParams):
     out = 2.0 * z * np.exp(-z * z + alpha) * q
     return float(out) if np.ndim(out) == 0 else out
 
-
-def sample_pairs(rng: np.random.Generator, c: CorrelationParams, n: int):
-    """Draw ``n`` correlated envelope pairs; returns arrays (v, v_tau).
-
-    The pair is built from the Gaussian construction h_tau = rho h +
-    sqrt(1-rho^2) w with h, w independent CN(0,1); each complex Gaussian is
-    two real Gaussians of variance 1/2.
-    """
-    rho = c.rho
-    g = rng.standard_normal((4, n)) * math.sqrt(0.5)
-    h = g[0] + 1j * g[1]
-    w = g[2] + 1j * g[3]
-    h_tau = rho * h + math.sqrt(max(0.0, 1.0 - rho * rho)) * w
-    return np.abs(h), np.abs(h_tau)
-
-
-def sample_pair(rng: np.random.Generator, c: CorrelationParams) -> FadingPair:
-    """Draw a single correlated envelope pair."""
-    v, v_tau = sample_pairs(rng, c, 1)
-    return FadingPair(float(v[0]), float(v_tau[0]))

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,8 +23,6 @@ from . import channel, ergodic, mcsim, outage
 from .specfun import ConvergenceError, QuadratureSpec
 
 _LOG2 = math.log(2.0)
-
-FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5")
 
 
 def _fmt(value) -> str:
@@ -53,11 +52,20 @@ def _write_table(path, fmt, meta: dict, columns: list[str], rows: list[dict]):
 
 
 def _parse_alpha(text: str):
-    if text == "optimal":
-        return ("optimal", None)
-    if text.startswith("suboptimal:"):
-        return ("suboptimal", float(text.split(":", 1)[1]))
-    return ("fixed", float(text))
+    """--alpha (optimal, suboptimal:<delta> or a number) as (text as typed, policy)."""
+    try:
+        if text == "optimal":
+            policy = ergodic.ThresholdPolicy("optimal")
+        elif text.startswith("suboptimal:"):
+            policy = ergodic.ThresholdPolicy("suboptimal", delta=float(text.split(":", 1)[1]))
+        else:
+            policy = ergodic.ThresholdPolicy("fixed", alpha=float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text, policy
+
+
+_OPTIMAL = _parse_alpha("optimal")
 
 
 def _parse_power_mode(text: str) -> outage.PowerMode:
@@ -121,137 +129,117 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
-def _add_common(p):
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--snr-db", type=float, default=20.0)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--doppler-hz", type=float, default=None)
-    p.add_argument("--delay-s", type=float, default=None)
-    p.add_argument("--alpha", type=str, default=None)
-    p.add_argument("--rate-bits", type=float, default=None)
-    p.add_argument("--rate-nats", type=float, default=None)
-    p.add_argument("--power-mode", type=_parse_power_mode, default=None)
-    p.add_argument("--n-blocks", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--sweep", type=_parse_sweep, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+# Every flag any subcommand takes; each subcommand adds only those it reads.
+_FLAGS = {
+    "k": dict(type=int, default=1),
+    "snr-db": dict(type=float, default=20.0),
+    "rho": dict(type=float, default=None),
+    "doppler-hz": dict(type=float, default=None),
+    "delay-s": dict(type=float, default=None),
+    "alpha": dict(type=_parse_alpha, default=None),
+    "rate-bits": dict(type=float, default=None),
+    "rate-nats": dict(type=float, default=None),
+    "power-mode": dict(type=_parse_power_mode, default="long-term"),
+    "n-blocks": dict(type=int, default=100000),
+    "seed": dict(type=int, default=12345),
+    "sweep": dict(type=_parse_sweep, default=None),
+    "scheme": dict(
+        type=lambda s: "outdated_1bit" if s == "outdated" else s,
+        choices=outage.DMT_SCHEMES,
+        default="longterm_1bit",
+        help='"outdated" is an alias of outdated_1bit',
+    ),
+    "out": dict(type=str, default=None),
+    "format": dict(choices=("csv", "json"), default="csv"),
+}
+
+_CHANNEL_FLAGS = ("k", "snr-db", "rho", "doppler-hz", "delay-s", "alpha")
+_OUTAGE_FLAGS = ("rate-bits", "rate-nats", "power-mode")
+_FIGURE_FLAGS = ("k", "snr-db", "rate-bits", "seed")
+
+# Values a command echoes in its metadata line; the base values also open
+# every row, and --sweep may vary any one of them.
+_VALUES = {
+    "k": lambda args: args.k,
+    "snr_db": lambda args: args.snr_db,
+    "rho": lambda args: _resolve_rho(args).rho,
+    "rate_nats": _rate_nats,
+    "alpha": lambda args: (args.alpha or _OPTIMAL)[0],
+    "power_mode": lambda args: args.power_mode.kind,
+    "scheme": lambda args: args.scheme,
+    "seed": lambda args: args.seed,
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="onebitfb",
-        description="Performance analysis of 1-bit feedback Rayleigh broadcast channels",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("ergodic", "wideband", "outage", "dmt", "simulate"):
-        _add_common(sub.add_parser(name))
-    sub.choices["dmt"].add_argument(
-        "--scheme", choices=outage.DMT_SCHEMES + ("outdated",), default="longterm_1bit"
-    )
-    fig = sub.add_parser("figure")
-    fig.add_argument("figure_id", choices=FIGURE_IDS)
-    _add_common(fig)
-    return parser
-
-
-def _sweep_rows(args, base: dict, param_values):
-    """Yield one parameter dict per sweep point (or the single base point)."""
-    if param_values is None:
-        yield dict(base)
-        return
-    name, values = param_values
+def _sweep_rows(args, rows_at, base: dict, sweep) -> list[dict]:
+    """The rows ``rows_at(args, point)`` gives at each sweep point, or at ``base``."""
+    if sweep is None:
+        return list(rows_at(args, base))
+    name, values = sweep
     if name not in base:
         raise SystemExit(_usage_error(f"cannot sweep unknown parameter {name!r}"))
+    rows = []
     for v in values:
-        row = dict(base)
-        row[name] = int(round(v)) if name == "k" else v
-        yield row
+        point = dict(base)
+        point[name] = int(round(v)) if name == "k" else v
+        rows.extend(rows_at(args, point))
+    return rows
 
 
-def _alpha_for(args, k: int, power: float, corr) -> float:
+def _channel(pt: dict, snr_db: float):
+    """Correlation and linear power at a sweep point."""
+    return channel.CorrelationParams(pt["rho"]), 10.0 ** (snr_db / 10.0)
+
+
+def _outage_alpha(args, power: float, rate: float) -> float:
+    """Outage thresholds are numeric or omitted (the zero-outage threshold)."""
     if args.alpha is None:
-        kind, value = ("optimal", None)
-    else:
-        kind, value = _parse_alpha(args.alpha)
-    if kind == "fixed":
-        return value
-    if kind == "suboptimal":
-        return ergodic.suboptimal_threshold(k, value)
-    return ergodic.optimal_threshold(k, power, corr)
+        return outage.default_threshold(args.power_mode, power, rate)
+    policy = args.alpha[1]
+    if policy.kind != "fixed":
+        raise SystemExit(_usage_error("outage thresholds must be numeric or omitted"))
+    return policy.alpha
 
 
-def _cmd_ergodic(args) -> int:
-    base = {"k": args.k, "snr_db": args.snr_db, "rho": _resolve_rho(args).rho}
-    rows = []
-    for pt in _sweep_rows(args, base, args.sweep):
-        corr = channel.CorrelationParams(pt["rho"])
-        power = 10.0 ** (pt["snr_db"] / 10.0)
-        alpha = _alpha_for(args, pt["k"], power, corr)
-        rep = ergodic.ergodic_report(
-            ergodic.ErgodicConfig(pt["k"], power, corr, alpha)
-        )
-        rows.append(
-            {
-                "k": pt["k"],
-                "snr_db": pt["snr_db"],
-                "rho": pt["rho"],
-                "alpha": alpha,
-                "rate_nats": rep.rate_nats,
-                "rate_bits": rep.rate_nats / _LOG2,
-                "upper_nats": rep.upper_nats,
-                "lower_nats": rep.lower_nats,
-                "prob_transmit": rep.prob_transmit,
-            }
-        )
-    meta = {"command": "ergodic", "alpha": args.alpha or "optimal", **base}
-    _write_table(args.out, args.format, meta, list(rows[0]), rows)
-    return 0
+def _ergodic_rows(args, pt):
+    corr, power = _channel(pt, pt["snr_db"])
+    alpha = (args.alpha or _OPTIMAL)[1].resolve(pt["k"], power, corr)
+    rep = ergodic.ergodic_report(ergodic.ErgodicConfig(pt["k"], power, corr, alpha))
+    yield {
+        **pt,
+        "alpha": alpha,
+        "rate_nats": rep.rate_nats,
+        "rate_bits": rep.rate_nats / _LOG2,
+        "upper_nats": rep.upper_nats,
+        "lower_nats": rep.lower_nats,
+        "prob_transmit": rep.prob_transmit,
+    }
 
 
-def _cmd_wideband(args) -> int:
-    base = {"k": args.k, "rho": _resolve_rho(args).rho}
-    rows = []
-    for pt in _sweep_rows(args, base, args.sweep):
-        corr = channel.CorrelationParams(pt["rho"])
-        power = 10.0 ** (args.snr_db / 10.0)
-        alpha = _alpha_for(args, pt["k"], power, corr)
-        rep = ergodic.wideband_metrics(alpha, pt["k"], corr)
-        rows.append(
-            {
-                "k": pt["k"],
-                "rho": pt["rho"],
-                "alpha": alpha,
-                "ebn0_min_db": rep.ebn0_min_db,
-                "ebn0_min_linear": rep.ebn0_min_linear,
-                "slope_s0": rep.slope_s0,
-            }
-        )
-    meta = {"command": "wideband", **base}
-    _write_table(args.out, args.format, meta, list(rows[0]), rows)
-    return 0
+def _wideband_rows(args, pt):
+    corr, power = _channel(pt, args.snr_db)
+    alpha = (args.alpha or _OPTIMAL)[1].resolve(pt["k"], power, corr)
+    rep = ergodic.wideband_metrics(alpha, pt["k"], corr)
+    yield {
+        **pt,
+        "alpha": alpha,
+        "ebn0_min_db": rep.ebn0_min_db,
+        "ebn0_min_linear": rep.ebn0_min_linear,
+        "slope_s0": rep.slope_s0,
+    }
 
 
-def _outage_row(k, snr_db, rho, rate, mode, alpha_arg):
-    corr = channel.CorrelationParams(rho)
-    power = 10.0 ** (snr_db / 10.0)
-    if alpha_arg is None:
-        alpha = outage.default_threshold(mode, power, rate)
-    else:
-        kind, value = _parse_alpha(alpha_arg)
-        if kind != "fixed":
-            raise SystemExit(_usage_error("outage thresholds must be numeric or omitted"))
-        alpha = value
-    cfg = outage.OutageConfig(k, power, corr, rate, alpha, mode)
+def _outage_rows(args, pt):
+    corr, power = _channel(pt, pt["snr_db"])
+    rate = pt["rate_nats"]
+    alpha = _outage_alpha(args, power, rate)
+    cfg = outage.OutageConfig(pt["k"], power, corr, rate, alpha, args.power_mode)
     rep = outage.outage_outdated(cfg)
-    return {
-        "k": k,
-        "snr_db": snr_db,
-        "rho": rho,
-        "rate_nats": rate,
+    yield {
+        **pt,
         "rate_bits": rate / _LOG2,
         "alpha": alpha,
-        "power_mode": mode.kind,
+        "power_mode": cfg.mode.kind,
         "p1": rep.p1,
         "p0": rep.p0,
         "eps": rep.eps,
@@ -260,85 +248,93 @@ def _outage_row(k, snr_db, rho, rate, mode, alpha_arg):
     }
 
 
-def _cmd_outage(args) -> int:
-    rate = _rate_nats(args)
-    mode = args.power_mode or outage.PowerMode.long_term()
-    base = {
-        "k": args.k,
-        "snr_db": args.snr_db,
-        "rho": _resolve_rho(args).rho,
-        "rate_nats": rate,
-    }
-    rows = [
-        _outage_row(pt["k"], pt["snr_db"], pt["rho"], pt["rate_nats"], mode, args.alpha)
-        for pt in _sweep_rows(args, base, args.sweep)
-    ]
-    meta = {"command": "outage", "power_mode": mode.kind, **base}
-    _write_table(args.out, args.format, meta, list(rows[0]), rows)
-    return 0
+def _dmt_rows(args, pt):
+    curve = outage.dmt_analytic(args.scheme, pt["k"])
+    return [{"r": p.r, "d": p.d} for p in curve.points]
 
 
-def _cmd_dmt(args) -> int:
-    scheme = "outdated_1bit" if args.scheme == "outdated" else args.scheme
-    curve = outage.dmt_analytic(scheme, args.k)
-    rows = [{"r": p.r, "d": p.d} for p in curve.points]
-    meta = {"command": "dmt", "scheme": scheme, "k": args.k}
-    _write_table(args.out, args.format, meta, ["r", "d"], rows)
-    return 0
+def _simulate_rows(args, pt):
+    """Rate mode, or outage mode when a rate is given (numeric alpha only)."""
+    corr, power = _channel(pt, pt["snr_db"])
+    if args.rate_bits is None and args.rate_nats is None:
+        rate = mode = None
+        alpha = (args.alpha or _OPTIMAL)[1].resolve(pt["k"], power, corr)
+    else:
+        rate, mode = _rate_nats(args), args.power_mode
+        alpha = _outage_alpha(args, power, rate)
+    cfg = mcsim.SimConfig(
+        pt["k"], power, corr, alpha, args.n_blocks, args.seed, rate_nats=rate, mode=mode
+    )
+    if rate is None:
+        est = mcsim.simulate_ergodic_rate(cfg)
+        stats = {
+            "rate_nats_mean": est.mean,
+            "rate_bits_mean": est.mean / _LOG2,
+            "rate_stderr": est.stderr,
+        }
+    else:
+        est = mcsim.simulate_outage(cfg)
+        stats = {
+            "eps_mean": est.mean,
+            "eps_stderr": est.stderr,
+            "avg_power": mcsim.simulate_avg_power(cfg).mean,
+        }
+    yield {**pt, "alpha": alpha, **stats, "n_blocks": est.n, "seed": args.seed}
 
 
-def _cmd_simulate(args) -> int:
-    corr = _resolve_rho(args)
-    power = 10.0 ** (args.snr_db / 10.0)
-    outage_mode = args.rate_bits is not None or args.rate_nats is not None
-    alpha_arg = args.alpha
-    rows = []
-    base = {"k": args.k, "snr_db": args.snr_db, "rho": corr.rho}
-    for pt in _sweep_rows(args, base, args.sweep):
-        corr_pt = channel.CorrelationParams(pt["rho"])
-        power_pt = 10.0 ** (pt["snr_db"] / 10.0)
-        if outage_mode:
-            rate = _rate_nats(args)
-            mode = args.power_mode or outage.PowerMode.long_term()
-            if alpha_arg is None:
-                alpha = outage.default_threshold(mode, power_pt, rate)
-            else:
-                alpha = _parse_alpha(alpha_arg)[1]
-            cfg = mcsim.SimConfig(
-                pt["k"], power_pt, corr_pt, alpha, args.n_blocks, args.seed,
-                rate_nats=rate, mode=mode,
-            )
-            est = mcsim.simulate_outage(cfg)
-            pw = mcsim.simulate_avg_power(cfg)
-            rows.append(
-                {
-                    **pt,
-                    "alpha": alpha,
-                    "eps_mean": est.mean,
-                    "eps_stderr": est.stderr,
-                    "avg_power": pw.mean,
-                    "n_blocks": est.n,
-                    "seed": args.seed,
-                }
-            )
-        else:
-            alpha = _alpha_for(args, pt["k"], power_pt, corr_pt)
-            cfg = mcsim.SimConfig(
-                pt["k"], power_pt, corr_pt, alpha, args.n_blocks, args.seed
-            )
-            est = mcsim.simulate_ergodic_rate(cfg)
-            rows.append(
-                {
-                    **pt,
-                    "alpha": alpha,
-                    "rate_nats_mean": est.mean,
-                    "rate_bits_mean": est.mean / _LOG2,
-                    "rate_stderr": est.stderr,
-                    "n_blocks": est.n,
-                    "seed": args.seed,
-                }
-            )
-    meta = {"command": "simulate", "seed": args.seed, **base}
+class _Command(NamedTuple):
+    flags: tuple[str, ...]
+    meta: tuple[str, ...]  # keys of _VALUES written after "command"
+    base: tuple[str, ...]  # keys of _VALUES written last and opening every row
+    rows: Callable  # (args, point) -> iterable of the rows at that point
+
+
+_COMMANDS = {
+    "ergodic": _Command(
+        _CHANNEL_FLAGS + ("sweep",), ("alpha",), ("k", "snr_db", "rho"), _ergodic_rows
+    ),
+    "wideband": _Command(_CHANNEL_FLAGS + ("sweep",), (), ("k", "rho"), _wideband_rows),
+    "outage": _Command(
+        _CHANNEL_FLAGS + _OUTAGE_FLAGS + ("sweep",),
+        ("power_mode",),
+        ("k", "snr_db", "rho", "rate_nats"),
+        _outage_rows,
+    ),
+    "dmt": _Command(("k", "scheme"), ("scheme",), ("k",), _dmt_rows),
+    "simulate": _Command(
+        _CHANNEL_FLAGS + _OUTAGE_FLAGS + ("n-blocks", "seed", "sweep"),
+        ("seed",),
+        ("k", "snr_db", "rho"),
+        _simulate_rows,
+    ),
+}
+
+
+def _add_flags(parser, names):
+    for name in names + ("out", "format"):
+        parser.add_argument(f"--{name}", **_FLAGS[name])
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="onebitfb",
+        description="Performance analysis of 1-bit feedback Rayleigh broadcast channels",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in _COMMANDS.items():
+        _add_flags(sub.add_parser(name), cmd.flags)
+    fig = sub.add_parser("figure")
+    fig.add_argument("figure_id", choices=tuple(_FIGURES))
+    _add_flags(fig, _FIGURE_FLAGS)
+    return parser
+
+
+def _run_command(args) -> int:
+    """Evaluate the command at every sweep point and write one table."""
+    cmd = _COMMANDS[args.command]
+    base = {key: _VALUES[key](args) for key in cmd.base}
+    rows = _sweep_rows(args, cmd.rows, base, getattr(args, "sweep", None))
+    meta = {"command": args.command, **{key: _VALUES[key](args) for key in cmd.meta}, **base}
     _write_table(args.out, args.format, meta, list(rows[0]), rows)
     return 0
 
@@ -356,21 +352,6 @@ def _emit_series(args, figure_id: str, series: str, columns, rows):
     meta = {"command": "figure", "figure_id": figure_id, "series": series,
             "seed": args.seed}
     _write_table(_figure_out(args, series), args.format, meta, columns, rows)
-
-
-def _cmd_figure(args) -> int:
-    fid = args.figure_id
-    if fid == "fig1":
-        _figure1(args)
-    elif fid == "fig2":
-        _figure2(args)
-    elif fid == "fig3":
-        _figure3(args)
-    elif fid == "fig4":
-        _figure4(args)
-    else:
-        _figure5(args)
-    return 0
 
 
 def _figure1(args):
@@ -430,37 +411,37 @@ def _figure2(args):
     _emit_series(args, "fig2", "no_csi", ["ebn0_db", "rate_nats", "rate_bits"], rows)
 
 
+_FIGURE_GRID_DB = [2.0 * i for i in range(21)]
+
+
+def _outage_series(args, figure_id, series, k, rho, rate, mode):
+    """Outage vs SNR on a 0..40 dB grid, from the outage command's rows."""
+    opts = argparse.Namespace(power_mode=mode, alpha=None)
+    base = {"k": k, "snr_db": 0.0, "rho": rho, "rate_nats": rate}
+    rows = _sweep_rows(opts, _outage_rows, base, ("snr_db", _FIGURE_GRID_DB))
+    _emit_series(args, figure_id, series, ["snr_db", "eps"], rows)
+
+
 def _figure3(args):
     """Instantaneous-feedback outage vs SNR, both power constraints."""
     rate = args.rate_bits * _LOG2 if args.rate_bits else 3.0 * _LOG2
-    grid_db = [2.0 * i for i in range(21)]
     for k in (1, 8, 16):
         for mode_name, mode in (
             ("short", outage.PowerMode.short_term()),
             ("long", outage.PowerMode.long_term()),
         ):
-            rows = []
-            for db in grid_db:
-                row = _outage_row(k, db, 1.0, rate, mode, None)
-                rows.append({"snr_db": db, "eps": row["eps"]})
-            _emit_series(args, "fig3", f"k{k}_{mode_name}", ["snr_db", "eps"], rows)
+            _outage_series(args, "fig3", f"k{k}_{mode_name}", k, 1.0, rate, mode)
 
 
 def _figure4(args):
     """Outdated-feedback outage vs SNR for K = 16 under long-term power."""
     rate = args.rate_bits * _LOG2 if args.rate_bits else 3.0 * _LOG2
     k = args.k if args.k > 1 else 16
-    mode = outage.PowerMode.long_term()
-    grid_db = [2.0 * i for i in range(21)]
     for rho in (0.0, 0.5, 0.9, 1.0):
-        rows = []
-        for db in grid_db:
-            row = _outage_row(k, db, rho, rate, mode, None)
-            rows.append({"snr_db": db, "eps": row["eps"]})
-        _emit_series(args, "fig4", f"rho{rho}", ["snr_db", "eps"], rows)
+        _outage_series(args, "fig4", f"rho{rho}", k, rho, rate, outage.PowerMode.long_term())
     # SISO no-feedback reference at full power
     rows = []
-    for db in grid_db:
+    for db in _FIGURE_GRID_DB:
         power = 10.0 ** (db / 10.0)
         eps = -math.expm1(-math.expm1(rate) / power)
         rows.append({"snr_db": db, "eps": eps})
@@ -471,25 +452,29 @@ def _figure5(args):
     """DMT curves for all schemes at K = 16."""
     k = args.k if args.k > 1 else 16
     for scheme in outage.DMT_SCHEMES:
-        curve = outage.dmt_analytic(scheme, k)
-        rows = [{"r": p.r, "d": p.d} for p in curve.points]
+        rows = _dmt_rows(argparse.Namespace(scheme=scheme), {"k": k})
         _emit_series(args, "fig5", scheme, ["r", "d"], rows)
 
 
-_COMMANDS = {
-    "ergodic": _cmd_ergodic,
-    "wideband": _cmd_wideband,
-    "outage": _cmd_outage,
-    "dmt": _cmd_dmt,
-    "simulate": _cmd_simulate,
-    "figure": _cmd_figure,
+_FIGURES = {
+    "fig1": _figure1,
+    "fig2": _figure2,
+    "fig3": _figure3,
+    "fig4": _figure4,
+    "fig5": _figure5,
 }
+
+
+def _cmd_figure(args) -> int:
+    _FIGURES[args.figure_id](args)
+    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run = _cmd_figure if args.command == "figure" else _run_command
     try:
-        return _COMMANDS[args.command](args)
+        return run(args)
     except (ConvergenceError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -35,7 +35,6 @@ __all__ = [
     "ebn0_db_from_power",
     "rate_at_ebn0",
     "multiplexing_gain_bounds",
-    "scaling_ratio",
     "ergodic_report",
     "full_csi_rate",
     "no_csi_rate",
@@ -57,8 +56,8 @@ class ErgodicConfig:
             raise ValueError("num_users must be >= 1")
         if not (self.power > 0 and math.isfinite(self.power)):
             raise ValueError("power must be positive and finite")
-        if self.threshold < 0:
-            raise ValueError("threshold must be nonnegative")
+        if not (math.isfinite(self.threshold) and self.threshold >= 0):
+            raise ValueError("threshold must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,14 @@ class ThresholdPolicy:
     def __post_init__(self):
         if self.kind not in ("fixed", "suboptimal", "optimal"):
             raise ValueError(f"unknown threshold policy {self.kind!r}")
-        if self.kind == "fixed" and (self.alpha is None or self.alpha < 0):
-            raise ValueError("fixed policy needs alpha >= 0")
-        if self.kind == "suboptimal" and (self.delta is None or self.delta <= 0):
-            raise ValueError("suboptimal policy needs delta > 0")
+        if self.kind == "fixed" and not (
+            self.alpha is not None and math.isfinite(self.alpha) and self.alpha >= 0
+        ):
+            raise ValueError("fixed policy needs a finite alpha >= 0")
+        if self.kind == "suboptimal" and not (
+            self.delta is not None and math.isfinite(self.delta) and self.delta > 0
+        ):
+            raise ValueError("suboptimal policy needs a finite delta > 0")
 
     def resolve(self, num_users: int, power: float, corr: CorrelationParams) -> float:
         if self.kind == "fixed":
@@ -321,24 +324,6 @@ def multiplexing_gain_bounds(alpha: float, num_users: int, corr: CorrelationPara
     r_up = prob_some_above(alpha, num_users)
     r_low = r_up * rate_bracket(alpha, corr)
     return min(r_low, r_up), r_up
-
-
-def scaling_ratio(
-    num_users: int,
-    power: float,
-    corr: CorrelationParams,
-    quad: QuadratureSpec | None = None,
-) -> float:
-    """Rate at the optimal threshold divided by log log K.
-
-    Diagnostic for the multiuser-diversity scaling; requires K >= 16 so the
-    denominator is comfortably positive.
-    """
-    if num_users < 16:
-        raise ValueError("scaling_ratio requires num_users >= 16")
-    alpha = optimal_threshold(num_users, power, corr, quad)
-    rate = sum_rate(ErgodicConfig(num_users, power, corr, alpha), quad)
-    return rate / math.log(math.log(num_users))
 
 
 def ergodic_report(cfg: ErgodicConfig, quad: QuadratureSpec | None = None) -> ErgodicReport:

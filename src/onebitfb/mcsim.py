@@ -24,12 +24,10 @@ from .outage import PowerMode
 
 __all__ = [
     "SimConfig",
-    "BlockRecord",
     "McEstimate",
     "simulate_ergodic_rate",
     "simulate_outage",
     "simulate_avg_power",
-    "simulate_blocks",
     "reference_full_csi_rate",
     "reference_no_csi_rate",
 ]
@@ -53,22 +51,12 @@ class SimConfig:
             raise ValueError("num_users must be >= 1")
         if self.n_blocks < 1:
             raise ValueError("n_blocks must be >= 1")
-        if self.threshold < 0:
-            raise ValueError("threshold must be nonnegative")
-        if self.power <= 0:
-            raise ValueError("power must be positive")
-
-
-@dataclass(frozen=True)
-class BlockRecord:
-    """Full accounting for one simulated fading block."""
-
-    n_above: int
-    selected_v: float
-    selected_v_tau: float
-    tx_power: float
-    achieved_log: float
-    outage_flag: bool | None
+        if self.rate_nats is not None and not (math.isfinite(self.rate_nats) and self.rate_nats > 0):
+            raise ValueError("rate_nats must be positive and finite")
+        if not (math.isfinite(self.threshold) and self.threshold >= 0):
+            raise ValueError("threshold must be nonnegative and finite")
+        if not (math.isfinite(self.power) and self.power > 0):
+            raise ValueError("power must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -177,45 +165,6 @@ def simulate_avg_power(cfg: SimConfig) -> McEstimate:
         return np.where(n_above > 0, p1, p0).astype(float)
 
     return _aggregate(cfg, per_block)
-
-
-def simulate_blocks(cfg: SimConfig, max_blocks: int = 10000) -> list[BlockRecord]:
-    """Detailed per-block records for the first min(n_blocks, max_blocks) blocks.
-
-    Uses the same stream derivation as the aggregate estimators, so records
-    correspond block-for-block with the fast paths.
-    """
-    ergodic = cfg.rate_nats is None
-    if ergodic:
-        p1, p0 = cfg.power, 0.0
-    else:
-        p1, p0 = _resolve_powers(cfg)
-    records: list[BlockRecord] = []
-    n_want = min(cfg.n_blocks, max_blocks)
-    chunk_idx = 0
-    while len(records) < n_want:
-        n = min(_CHUNK, n_want - len(records))
-        rng = _chunk_rng(cfg.seed, chunk_idx)
-        v, v_tau, u = _draw_block_arrays(rng, cfg.corr.rho, n, cfg.num_users)
-        pick, n_above = _select(v, u, cfg.threshold)
-        rows = np.arange(n)
-        tx = np.where(n_above > 0, p1, p0)
-        achieved = np.log1p(v_tau[rows, pick] ** 2 * tx)
-        if ergodic:
-            achieved = np.where(n_above > 0, achieved, 0.0)
-        for i in range(n):
-            records.append(
-                BlockRecord(
-                    n_above=int(n_above[i]),
-                    selected_v=float(v[i, pick[i]]),
-                    selected_v_tau=float(v_tau[i, pick[i]]),
-                    tx_power=float(tx[i]),
-                    achieved_log=float(achieved[i]),
-                    outage_flag=None if ergodic else bool(achieved[i] < cfg.rate_nats),
-                )
-            )
-        chunk_idx += 1
-    return records
 
 
 def reference_full_csi_rate(num_users: int, power: float, n_blocks: int, seed: int) -> McEstimate:

@@ -23,7 +23,6 @@ __all__ = [
     "OutageReport",
     "DmtPoint",
     "DmtCurve",
-    "OutdatedTerms",
     "DMT_SCHEMES",
     "eps1_instant",
     "eps0_instant",
@@ -66,8 +65,8 @@ class PowerMode:
         if self.kind not in ("short_term", "long_term_two_level", "explicit"):
             raise ValueError(f"unknown power mode {self.kind!r}")
         if self.kind == "explicit":
-            if self.p1 is None or self.p0 is None or self.p1 < 0 or self.p0 < 0:
-                raise ValueError("explicit mode requires P1, P0 >= 0")
+            if not all(p is not None and math.isfinite(p) and p >= 0 for p in (self.p1, self.p0)):
+                raise ValueError("explicit mode requires finite P1, P0 >= 0")
 
     @classmethod
     def short_term(cls) -> "PowerMode":
@@ -102,12 +101,12 @@ class OutageConfig:
     def __post_init__(self):
         if self.num_users < 1:
             raise ValueError("num_users must be >= 1")
-        if self.power <= 0:
-            raise ValueError("power must be positive")
-        if self.rate_nats <= 0:
-            raise ValueError("rate must be positive")
-        if self.threshold < 0:
-            raise ValueError("threshold must be nonnegative")
+        if not (math.isfinite(self.power) and self.power > 0):
+            raise ValueError("power must be positive and finite")
+        if not (math.isfinite(self.rate_nats) and self.rate_nats > 0):
+            raise ValueError("rate_nats must be positive and finite")
+        if not (math.isfinite(self.threshold) and self.threshold >= 0):
+            raise ValueError("threshold must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -129,21 +128,6 @@ class DmtPoint:
 class DmtCurve:
     scheme: str
     points: tuple[DmtPoint, ...]
-
-
-@dataclass(frozen=True)
-class OutdatedTerms:
-    """The two scale parameters of the outdated outage formulas."""
-
-    mu: float  # 2 (e^R - 1) / (1 - rho^2)
-    nu: float  # 2 alpha / (1 - rho^2)
-
-    @classmethod
-    def from_params(cls, rate_nats: float, alpha: float, corr: CorrelationParams) -> "OutdatedTerms":
-        if corr.is_instantaneous:
-            raise ValueError("outdated terms are finite only for |rho| < 1")
-        omr2 = 1.0 - corr.rho ** 2
-        return cls(mu=2.0 * math.expm1(rate_nats) / omr2, nu=2.0 * alpha / omr2)
 
 
 def eps1_instant(rate_nats: float, p1: float, alpha: float) -> float:
@@ -174,17 +158,23 @@ def eps0_instant(rate_nats: float, p0: float, alpha: float) -> float:
     return 1.0
 
 
-def outage_instant(cfg: OutageConfig) -> OutageReport:
-    """Total outage with instantaneous feedback: conditional terms mixed by Pr(N>0)."""
+def _mix(cfg: OutageConfig, eps1, eps0, *corr) -> OutageReport:
+    """Total outage eps1 Pr(N>0) + eps0 (1 - Pr(N>0)) at the resolved powers.
+
+    ``eps1``/``eps0`` are called as (rate, power, alpha, *corr).  At alpha = 0,
+    Pr(N = 0) = 0 and eps0 never enters the mixture.
+    """
     p1, p0 = cfg.mode.resolve(cfg.power, cfg.threshold, cfg.num_users)
-    e1 = eps1_instant(cfg.rate_nats, p1, cfg.threshold)
-    if cfg.threshold > 0:
-        e0 = eps0_instant(cfg.rate_nats, p0, cfg.threshold)
-    else:
-        e0 = 0.0  # Pr(N = 0) = 0; the conditional value never enters the mixture
+    e1 = eps1(cfg.rate_nats, p1, cfg.threshold, *corr)
+    e0 = eps0(cfg.rate_nats, p0, cfg.threshold, *corr) if cfg.threshold > 0 else 0.0
     prob = prob_some_above(cfg.threshold, cfg.num_users)
     eps = e1 * prob + e0 * (1.0 - prob)
     return OutageReport(eps=eps, eps1=e1, eps0=e0, p1=p1, p0=p0)
+
+
+def outage_instant(cfg: OutageConfig) -> OutageReport:
+    """Total outage with instantaneous feedback: conditional terms mixed by Pr(N>0)."""
+    return _mix(cfg, eps1_instant, eps0_instant)
 
 
 def zero_outage_threshold(power: float, rate_nats: float) -> float:
@@ -226,7 +216,8 @@ def eps1_outdated(rate_nats: float, p1: float, alpha: float, corr: CorrelationPa
     """Outage probability given feedback "1" with outdated CSI.
 
     Q1(sqrt(mu/P1), |rho| sqrt(nu)) - e^{alpha - (e^R-1)/P1}
-    Q1(|rho| sqrt(mu/P1), sqrt(nu)).  Dispatches to the instantaneous form
+    Q1(|rho| sqrt(mu/P1), sqrt(nu)), with mu = 2 (e^R - 1) / (1 - rho^2) and
+    nu = 2 alpha / (1 - rho^2).  Dispatches to the instantaneous form
     at |rho| = 1 and collapses to the unconditional exponential outage at
     rho = 0.
     """
@@ -238,16 +229,16 @@ def eps1_outdated(rate_nats: float, p1: float, alpha: float, corr: CorrelationPa
         return eps1_instant(rate_nats, p1, alpha)
     if corr.rho == 0.0:
         return -math.expm1(-math.expm1(rate_nats) / p1)
-    t = OutdatedTerms.from_params(rate_nats, alpha, corr)
+    omr2 = 1.0 - corr.rho ** 2
     r = corr.abs_rho
-    a = math.sqrt(t.mu / p1)
-    sb = math.sqrt(t.nu)
+    a = math.sqrt(2.0 * math.expm1(rate_nats) / omr2 / p1)
+    sb = math.sqrt(2.0 * alpha / omr2)
     val = marcum_q1(a, r * sb) - math.exp(alpha - math.expm1(rate_nats) / p1) * marcum_q1(r * a, sb)
     return min(max(val, 0.0), 1.0)
 
 
 def eps0_outdated(rate_nats: float, p0: float, alpha: float, corr: CorrelationParams) -> float:
-    """Outage probability given all-zero feedback with outdated CSI."""
+    """Outage probability given all-zero feedback with outdated CSI (mu, nu as in eps1_outdated)."""
     if rate_nats <= 0:
         raise ValueError("need rate > 0")
     if alpha <= 0:
@@ -258,10 +249,10 @@ def eps0_outdated(rate_nats: float, p0: float, alpha: float, corr: CorrelationPa
         return eps0_instant(rate_nats, p0, alpha)
     if corr.rho == 0.0:
         return -math.expm1(-math.expm1(rate_nats) / p0)
-    t = OutdatedTerms.from_params(rate_nats, alpha, corr)
+    omr2 = 1.0 - corr.rho ** 2
     r = corr.abs_rho
-    a = math.sqrt(t.mu / p0)
-    sb = math.sqrt(t.nu)
+    a = math.sqrt(2.0 * math.expm1(rate_nats) / omr2 / p0)
+    sb = math.sqrt(2.0 * alpha / omr2)
     ecr = math.exp(-math.expm1(rate_nats) / p0)
     val = (
         1.0
@@ -274,17 +265,9 @@ def eps0_outdated(rate_nats: float, p0: float, alpha: float, corr: CorrelationPa
 
 def outage_outdated(cfg: OutageConfig) -> OutageReport:
     """Total outage with outdated feedback; equals the instantaneous result at |rho| = 1."""
-    p1, p0 = cfg.mode.resolve(cfg.power, cfg.threshold, cfg.num_users)
     if cfg.corr.is_instantaneous:
         return outage_instant(cfg)
-    e1 = eps1_outdated(cfg.rate_nats, p1, cfg.threshold, cfg.corr)
-    if cfg.threshold > 0:
-        e0 = eps0_outdated(cfg.rate_nats, p0, cfg.threshold, cfg.corr)
-    else:
-        e0 = 0.0
-    prob = prob_some_above(cfg.threshold, cfg.num_users)
-    eps = e1 * prob + e0 * (1.0 - prob)
-    return OutageReport(eps=eps, eps1=e1, eps0=e0, p1=p1, p0=p0)
+    return _mix(cfg, eps1_outdated, eps0_outdated, cfg.corr)
 
 
 def _dmt_intercept(scheme: str, num_users: int) -> float:

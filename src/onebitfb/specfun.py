@@ -1,8 +1,8 @@
 """Special functions and quadrature used by every closed form in the package.
 
-Provides the modified Bessel function I0, the first-order Marcum-Q function
-(series evaluation, large-argument asymptotics and exponential bounds), the
-standard normal CDF, a stable ``exp(x)*E1(x)``, and an adaptive semi-infinite
+Provides the first-order Marcum-Q function (series evaluation,
+large-argument asymptotics and exponential bounds), the standard normal
+upper tail, a stable ``exp(x)*E1(x)``, and an adaptive semi-infinite
 integrator built on a 15-point Gauss-Kronrod panel rule.
 
 All functions are pure and accept scalars or numpy arrays where noted.
@@ -20,11 +20,7 @@ from scipy import special as sc
 
 __all__ = [
     "QuadratureSpec",
-    "MarcumArgs",
     "ConvergenceError",
-    "bessel_i0",
-    "bessel_i0e",
-    "std_normal_cdf",
     "std_normal_sf",
     "expx_e1",
     "marcum_q1",
@@ -56,20 +52,6 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be >= 1")
 
 
-@dataclass(frozen=True)
-class MarcumArgs:
-    """Validated argument pair (a, b) for the first-order Marcum-Q function."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError("Marcum-Q arguments must be finite")
-        if self.a < 0 or self.b < 0:
-            raise ValueError("Marcum-Q arguments must be nonnegative")
-
-
 class ConvergenceError(RuntimeError):
     """Adaptive integration ran out of subdivisions.
 
@@ -80,39 +62,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-def bessel_i0(x):
-    """Modified Bessel function of the first kind, order zero.
-
-    Raw I0 overflows doubles near x ~ 713; callers needing larger arguments
-    should use :func:`bessel_i0e` and fold the exponent themselves.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("bessel_i0 requires finite input")
-    if np.any(x < 0):
-        raise ValueError("bessel_i0 requires nonnegative input")
-    out = sc.i0(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def bessel_i0e(x):
-    """Exponentially scaled I0: ``I0(x) * exp(-x)``. Safe for any x >= 0."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("bessel_i0e requires finite input")
-    if np.any(x < 0):
-        raise ValueError("bessel_i0e requires nonnegative input")
-    out = sc.i0e(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def std_normal_cdf(t):
-    """Standard normal CDF via erfc; absolute error below 1e-14."""
-    t = np.asarray(t, dtype=float)
-    out = 0.5 * sc.erfc(-t / _SQRT2)
-    return float(out) if out.ndim == 0 else out
 
 
 def std_normal_sf(t):
@@ -219,8 +168,6 @@ def marcum_q1(a, b):
     the absolutely convergent Poisson-mixture series; switches to a
     large-argument asymptotic evaluation when a*b exceeds 1e6.
     """
-    if isinstance(a, MarcumArgs):
-        raise TypeError("pass a and b separately, or unpack MarcumArgs")
     a_arr, b_arr = np.broadcast_arrays(
         np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     )
@@ -243,13 +190,12 @@ def marcum_q1(a, b):
     return out.reshape(a_arr.shape)
 
 
-def marcum_q1_asymptotic(a, b, phi_form: bool = False):
+def marcum_q1_asymptotic(a, b):
     """Large-argument approximation of Q1(a, b).
 
-    Default is the Gaussian-prefactor form (2 pi a b)^{-1/2} exp(-(b-a)^2/2);
-    with ``phi_form=True`` the intermediate sqrt(b/a) * Phi_bar(b - a) is
-    returned instead.  Only meaningful as a cross-check for large arguments;
-    raises for a = 0 (prefactor diverges).
+    The Gaussian-prefactor form (2 pi a b)^{-1/2} exp(-(b-a)^2/2).  Only
+    meaningful as a cross-check for large arguments; raises for a = 0
+    (prefactor diverges).
     """
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
@@ -257,12 +203,9 @@ def marcum_q1_asymptotic(a, b, phi_form: bool = False):
         raise ValueError("marcum_q1_asymptotic requires a > 0")
     if np.any(b_arr < 0):
         raise ValueError("marcum_q1_asymptotic requires b >= 0")
-    if phi_form:
-        out = np.sqrt(b_arr / a_arr) * std_normal_sf(b_arr - a_arr)
-    else:
-        out = np.exp(-0.5 * (b_arr - a_arr) ** 2) / np.sqrt(
-            2.0 * math.pi * a_arr * b_arr
-        )
+    out = np.exp(-0.5 * (b_arr - a_arr) ** 2) / np.sqrt(
+        2.0 * math.pi * a_arr * b_arr
+    )
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -7,14 +7,12 @@ from scipy import integrate
 from onebitfb.channel import (
     CorrelationParams,
     DegenerateCorrelationError,
-    FadingPair,
     JakesParams,
     conditional_pdf_vtau,
     joint_pdf,
     rho_from_jakes,
-    sample_pair,
-    sample_pairs,
 )
+from onebitfb.mcsim import _draw_block_arrays
 
 
 class TestParams:
@@ -44,10 +42,6 @@ class TestParams:
     def test_jakes_validation(self):
         with pytest.raises(ValueError):
             JakesParams(-1.0, 0.001)
-
-    def test_fading_pair_nonnegative(self):
-        with pytest.raises(ValueError):
-            FadingPair(-0.1, 0.5)
 
 
 class TestDensities:
@@ -86,10 +80,13 @@ class TestDensities:
 
 
 class TestSampling:
+    """The envelope-pair sampler behind every Monte-Carlo estimate."""
+
     def test_moments(self):
         rng = np.random.default_rng(7)
-        c = CorrelationParams(0.9)
-        v, v_tau = sample_pairs(rng, c, 400_000)
+        v, v_tau, _ = _draw_block_arrays(rng, 0.9, 100_000, 4)
+        v, v_tau = v.ravel(), v_tau.ravel()
+        assert np.all(v >= 0) and np.all(v_tau >= 0)
         # squared envelopes are unit exponentials with corr(v^2, v_tau^2) = rho^2
         assert np.mean(v * v) == pytest.approx(1.0, abs=0.01)
         assert np.mean(v_tau * v_tau) == pytest.approx(1.0, abs=0.01)
@@ -98,9 +95,5 @@ class TestSampling:
 
     def test_instantaneous_pairs_identical(self):
         rng = np.random.default_rng(1)
-        v, v_tau = sample_pairs(rng, CorrelationParams(1.0), 100)
+        v, v_tau, _ = _draw_block_arrays(rng, 1.0, 100, 4)
         np.testing.assert_allclose(v, v_tau, rtol=1e-12)
-
-    def test_single_pair(self):
-        pair = sample_pair(np.random.default_rng(0), CorrelationParams(0.5))
-        assert pair.v >= 0 and pair.v_tau >= 0

@@ -168,3 +168,59 @@ class TestErrors:
     def test_bad_power_mode(self, capsys):
         with pytest.raises(SystemExit):
             run(capsys, "outage", "--rate-bits", "1", "--power-mode", "weird")
+
+
+def exit_status(capsys, *argv):
+    """Exit code and stderr, whether main returns or argparse exits."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("alpha", ["optimal", "suboptimal:1"])
+    def test_outage_simulate_needs_numeric_alpha(self, capsys, alpha):
+        code, err = exit_status(
+            capsys, "simulate", "--k", "4", "--rho", "0.5", "--rate-bits", "1",
+            "--alpha", alpha, "--n-blocks", "1000",
+        )
+        assert code == 2
+        assert "outage thresholds must be numeric or omitted" in err
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (("wideband", "--k", "4", "--alpha", "nan"), "--alpha"),
+            (("ergodic", "--k", "4", "--rho", "0.5", "--alpha", "nan"), "--alpha"),
+            (("outage", "--k", "4", "--rho", "0.5", "--rate-bits", "1", "--alpha", "inf"),
+             "--alpha"),
+            (("outage", "--k", "4", "--rho", "0.5", "--rate-bits", "nan"), "rate_nats"),
+            (("outage", "--k", "4", "--rho", "0.5", "--rate-bits", "1",
+              "--power-mode", "explicit:nan,1"), "--power-mode"),
+            (("simulate", "--k", "4", "--rate-bits", "inf", "--n-blocks", "100"), "rate_nats"),
+            (("simulate", "--k", "4", "--snr-db", "nan", "--alpha", "1", "--n-blocks", "100"),
+             "power"),
+        ],
+    )
+    def test_non_finite(self, capsys, argv, name):
+        code, err = exit_status(capsys, *argv)
+        assert code == 2
+        assert name in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dmt", "--k", "4", "--sweep", "k=1:4:2"),
+            ("ergodic", "--k", "4", "--n-blocks", "10"),
+            ("ergodic", "--k", "4", "--seed", "1"),
+            ("figure", "fig5", "--rho", "0.5"),
+            ("figure", "fig5", "--alpha", "1"),
+            ("figure", "fig5", "--rate-nats", "1"),
+        ],
+    )
+    def test_flags_a_command_does_not_read(self, capsys, argv):
+        code, err = exit_status(capsys, *argv)
+        assert code == 2
+        assert "unrecognized arguments" in err

@@ -18,7 +18,6 @@ from onebitfb.ergodic import (
     prob_some_above,
     rate_at_ebn0,
     rate_bracket,
-    scaling_ratio,
     suboptimal_threshold,
     sum_rate,
     sum_rate_lower,
@@ -78,6 +77,9 @@ class TestSumRate:
             ErgodicConfig(1, -1.0, CorrelationParams(0.5), 1.0)
         with pytest.raises(ValueError):
             ErgodicConfig(1, 10.0, CorrelationParams(0.5), -0.1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="threshold"):
+                ErgodicConfig(1, 10.0, CorrelationParams(0.5), bad)
 
 
 class TestBounds:
@@ -133,6 +135,11 @@ class TestThresholds:
         assert opt == pytest.approx(optimal_threshold(8, 10.0, c))
         with pytest.raises(ValueError):
             ThresholdPolicy("bogus")
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="alpha"):
+                ThresholdPolicy("fixed", bad)
+            with pytest.raises(ValueError, match="delta"):
+                ThresholdPolicy("suboptimal", delta=bad)
 
 
 class TestWideband:
@@ -170,10 +177,11 @@ class TestDiagnostics:
             degradation_estimate(CorrelationParams(0.0))
 
     def test_scaling_ratio_moderate(self):
-        ratio = scaling_ratio(64, 10.0, CorrelationParams(1.0))
+        # multiuser-diversity scaling: rate at the optimal threshold over log log K
+        c = CorrelationParams(1.0)
+        alpha = optimal_threshold(64, 10.0, c)
+        ratio = sum_rate(ErgodicConfig(64, 10.0, c, alpha)) / math.log(math.log(64))
         assert ratio > 1.0
-        with pytest.raises(ValueError):
-            scaling_ratio(4, 10.0, CorrelationParams(1.0))
 
     def test_report_consistency(self):
         cfg = ErgodicConfig(8, 25.0, CorrelationParams(0.7), 1.0)

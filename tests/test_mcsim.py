@@ -6,12 +6,15 @@ import pytest
 from onebitfb.channel import CorrelationParams
 from onebitfb.ergodic import ErgodicConfig, full_csi_rate, no_csi_rate, sum_rate
 from onebitfb.mcsim import (
+    _CHUNK,
     McEstimate,
     SimConfig,
+    _chunk_rng,
+    _draw_block_arrays,
+    _select,
     reference_full_csi_rate,
     reference_no_csi_rate,
     simulate_avg_power,
-    simulate_blocks,
     simulate_ergodic_rate,
     simulate_outage,
 )
@@ -45,12 +48,17 @@ class TestDeterminism:
         assert a.mean != b.mean
 
     def test_prefix_property_across_chunks(self):
-        # records enumerate the same stream the aggregate estimators consume
+        # the estimator consumes one stream per chunk, seeded by (seed, chunk index)
         cfg = _cfg(n_blocks=70_000)  # spans two chunks
-        recs = simulate_blocks(cfg, max_blocks=70_000)
-        est = simulate_ergodic_rate(cfg)
-        mean = sum(r.achieved_log for r in recs) / len(recs)
-        assert mean == pytest.approx(est.mean, rel=1e-12)
+        rates = []
+        for idx, n in enumerate((_CHUNK, cfg.n_blocks - _CHUNK)):
+            rng = _chunk_rng(cfg.seed, idx)
+            v, v_tau, u = _draw_block_arrays(rng, cfg.corr.rho, n, cfg.num_users)
+            pick, n_above = _select(v, u, cfg.threshold)
+            rate = np.log1p(v_tau[np.arange(n), pick] ** 2 * cfg.power)
+            rates.append(np.where(n_above > 0, rate, 0.0))
+        mean = float(np.concatenate(rates).mean())
+        assert mean == pytest.approx(simulate_ergodic_rate(cfg).mean, rel=1e-12)
 
 
 class TestErgodicAgainstClosedForm:
@@ -123,24 +131,27 @@ class TestPowerAccounting:
 
 
 class TestBlockRecords:
+    """Per-block accounting, rebuilt by hand from the stream the estimators consume."""
+
     def test_fields_consistent(self):
         cfg = _cfg(
             n_blocks=500, rate_nats=1.5, mode=PowerMode.explicit(8.0, 2.0)
         )
-        recs = simulate_blocks(cfg)
-        assert len(recs) == 500
-        for r in recs[:50]:
-            assert 0 <= r.n_above <= 4
-            assert r.tx_power == (8.0 if r.n_above > 0 else 2.0)
-            want = math.log1p(r.selected_v_tau**2 * r.tx_power)
-            assert r.achieved_log == pytest.approx(want, rel=1e-12)
-            assert r.outage_flag == (r.achieved_log < 1.5)
+        v, v_tau, u = _draw_block_arrays(_chunk_rng(cfg.seed, 0), cfg.corr.rho, 500, 4)
+        pick, n_above = _select(v, u, cfg.threshold)
+        assert np.all((n_above >= 0) & (n_above <= 4))
+        tx_power = np.where(n_above > 0, 8.0, 2.0)
+        achieved = np.log1p(v_tau[np.arange(500), pick] ** 2 * tx_power)
+        outage = (achieved < 1.5).astype(float)
+        assert simulate_outage(cfg).mean == pytest.approx(outage.mean(), rel=1e-12)
+        assert simulate_avg_power(cfg).mean == pytest.approx(tx_power.mean(), rel=1e-12)
 
     def test_qualified_selection(self):
-        recs = simulate_blocks(_cfg(n_blocks=2000))
-        for r in recs:
-            if r.n_above > 0:
-                assert r.selected_v**2 >= 1.0
+        v, _, u = _draw_block_arrays(np.random.default_rng(3), 0.9, 2000, 4)
+        pick, n_above = _select(v, u, 1.0)
+        np.testing.assert_array_equal(n_above, (v * v >= 1.0).sum(axis=1))
+        chosen = v[np.arange(2000), pick]
+        assert np.all(chosen[n_above > 0] ** 2 >= 1.0)
 
 
 class TestReferences:
@@ -163,6 +174,13 @@ class TestValidation:
             _cfg(threshold=-1.0)
         with pytest.raises(ValueError):
             _cfg(power=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="threshold"):
+                _cfg(threshold=bad)
+            with pytest.raises(ValueError, match="power"):
+                _cfg(power=bad)
+            with pytest.raises(ValueError, match="rate_nats"):
+                _cfg(rate_nats=bad)
 
     def test_estimate_within(self):
         est = McEstimate(mean=1.0, stderr=0.1, n=100)

@@ -8,7 +8,6 @@ from onebitfb.ergodic import prob_some_above
 from onebitfb.outage import (
     DMT_SCHEMES,
     OutageConfig,
-    OutdatedTerms,
     PowerMode,
     default_threshold,
     dmt_analytic,
@@ -23,6 +22,7 @@ from onebitfb.outage import (
     power_split_longterm,
     zero_outage_threshold,
 )
+from onebitfb.specfun import marcum_q1
 
 LOG2 = math.log(2.0)
 
@@ -177,10 +177,18 @@ class TestOutdated:
             )
 
     def test_terms_helper(self):
-        t = OutdatedTerms.from_params(2.0, 0.5, CorrelationParams(0.6))
-        s2 = 1 - 0.36
-        assert t.mu == pytest.approx(2 * math.expm1(2.0) / s2)
-        assert t.nu == pytest.approx(2 * 0.5 / s2)
+        # the Marcum-Q arguments use mu = 2 (e^R-1)/(1-rho^2), nu = 2 alpha/(1-rho^2)
+        r, p, a, rho = 2.0, 10.0, 0.5, 0.6
+        mu, nu = 2 * math.expm1(r) / (1 - rho**2), 2 * a / (1 - rho**2)
+        x, y = math.sqrt(mu / p), math.sqrt(nu)
+        ecr = math.exp(-math.expm1(r) / p)
+        q_hi, q_lo = marcum_q1(x, rho * y), marcum_q1(rho * x, y)
+        want1 = q_hi - math.exp(a) * ecr * q_lo
+        want0 = (1 - ecr - math.exp(-a) * q_hi + ecr * q_lo) / -math.expm1(-a)
+        assert 0 < want1 < 1 and 0 < want0 < 1
+        c = CorrelationParams(rho)
+        assert eps1_outdated(r, p, a, c) == pytest.approx(want1, rel=1e-12)
+        assert eps0_outdated(r, p, a, c) == pytest.approx(want0, rel=1e-12)
 
 
 class TestDmt:
@@ -223,3 +231,12 @@ class TestValidation:
             OutageConfig(1, 10.0, c, -1.0, 0.5, PowerMode.short_term())
         with pytest.raises(ValueError):
             OutageConfig(1, 10.0, c, 1.0, -0.5, PowerMode.short_term())
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="rate_nats"):
+                OutageConfig(1, 10.0, c, bad, 0.5, PowerMode.short_term())
+            with pytest.raises(ValueError, match="threshold"):
+                OutageConfig(1, 10.0, c, 1.0, bad, PowerMode.short_term())
+            with pytest.raises(ValueError, match="power"):
+                OutageConfig(1, bad, c, 1.0, 0.5, PowerMode.short_term())
+            with pytest.raises(ValueError, match="P1, P0"):
+                PowerMode.explicit(bad, 2.0)
