@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -124,6 +125,11 @@ def _rate_nats(args) -> float:
     raise SystemExit(_usage_error("outage commands require --rate-bits or --rate-nats"))
 
 
+def _snr_db(args) -> float:
+    """--snr-db, or 20 dB; the flag defaults to None so a command can tell it was given."""
+    return 20.0 if args.snr_db is None else args.snr_db
+
+
 def _usage_error(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 2
@@ -132,7 +138,7 @@ def _usage_error(msg: str) -> int:
 # Every flag any subcommand takes; each subcommand adds only those it reads.
 _FLAGS = {
     "k": dict(type=int, default=1),
-    "snr-db": dict(type=float, default=20.0),
+    "snr-db": dict(type=float, default=None, help="default 20"),
     "rho": dict(type=float, default=None),
     "doppler-hz": dict(type=float, default=None),
     "delay-s": dict(type=float, default=None),
@@ -155,13 +161,11 @@ _FLAGS = {
 
 _CHANNEL_FLAGS = ("k", "snr-db", "rho", "doppler-hz", "delay-s", "alpha")
 _OUTAGE_FLAGS = ("rate-bits", "rate-nats", "power-mode")
-_FIGURE_FLAGS = ("k", "snr-db", "rate-bits", "seed")
-
 # Values a command echoes in its metadata line; the base values also open
 # every row, and --sweep may vary any one of them.
 _VALUES = {
     "k": lambda args: args.k,
-    "snr_db": lambda args: args.snr_db,
+    "snr_db": _snr_db,
     "rho": lambda args: _resolve_rho(args).rho,
     "rate_nats": _rate_nats,
     "alpha": lambda args: (args.alpha or _OPTIMAL)[0],
@@ -217,8 +221,11 @@ def _ergodic_rows(args, pt):
 
 
 def _wideband_rows(args, pt):
-    corr, power = _channel(pt, args.snr_db)
-    alpha = (args.alpha or _OPTIMAL)[1].resolve(pt["k"], power, corr)
+    policy = (args.alpha or _OPTIMAL)[1]
+    if args.snr_db is not None and policy.kind != "optimal":
+        raise SystemExit(_usage_error("wideband reads --snr-db only with --alpha optimal"))
+    corr, power = _channel(pt, _snr_db(args))
+    alpha = policy.resolve(pt["k"], power, corr)
     rep = ergodic.wideband_metrics(alpha, pt["k"], corr)
     yield {
         **pt,
@@ -315,6 +322,9 @@ def _add_flags(parser, names):
         parser.add_argument(f"--{name}", **_FLAGS[name])
 
 
+# Built once per process: building it costs about 2 ms, as much as a small
+# command, and parse_args leaves it unchanged.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="onebitfb",
@@ -323,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in _COMMANDS.items():
         _add_flags(sub.add_parser(name), cmd.flags)
-    fig = sub.add_parser("figure")
-    fig.add_argument("figure_id", choices=tuple(_FIGURES))
-    _add_flags(fig, _FIGURE_FLAGS)
+    figures = sub.add_parser("figure").add_subparsers(dest="figure_id", required=True)
+    for name, (_, flags) in _FIGURES.items():
+        _add_flags(figures.add_parser(name), flags + ("seed",))
     return parser
 
 
@@ -356,7 +366,7 @@ def _emit_series(args, figure_id: str, series: str, columns, rows):
 
 def _figure1(args):
     """Ergodic sum-rate vs number of users at P = 20 dB."""
-    power = 10.0 ** (args.snr_db / 10.0)
+    power = 10.0 ** (_snr_db(args) / 10.0)
     ks = [2 ** i for i in range(1, 11)]
     quad = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-7)
     series = {
@@ -456,17 +466,18 @@ def _figure5(args):
         _emit_series(args, "fig5", scheme, ["r", "d"], rows)
 
 
+# Each figure with the flags it reads besides --seed, --out and --format.
 _FIGURES = {
-    "fig1": _figure1,
-    "fig2": _figure2,
-    "fig3": _figure3,
-    "fig4": _figure4,
-    "fig5": _figure5,
+    "fig1": (_figure1, ("snr-db",)),
+    "fig2": (_figure2, ("k",)),
+    "fig3": (_figure3, ("rate-bits",)),
+    "fig4": (_figure4, ("k", "rate-bits")),
+    "fig5": (_figure5, ("k",)),
 }
 
 
 def _cmd_figure(args) -> int:
-    _FIGURES[args.figure_id](args)
+    _FIGURES[args.figure_id][0](args)
     return 0
 
 

@@ -130,14 +130,31 @@ class DmtCurve:
     points: tuple[DmtPoint, ...]
 
 
+def _check_conditional(rate_nats: float, power_name: str, power: float, alpha: float,
+                       all_zero: bool) -> None:
+    """Reject bad arguments of an eps1/eps0 form by name; NaN fails every test.
+
+    ``all_zero`` marks the feedback-"0" forms, which also need alpha > 0.
+    """
+    if not rate_nats > 0:
+        raise ValueError("rate_nats must be > 0")
+    if not power >= 0:
+        raise ValueError(f"{power_name} must be >= 0")
+    if all_zero and not alpha > 0:
+        raise ValueError(
+            "alpha must be > 0: the all-zero feedback event has probability 0 at alpha = 0"
+        )
+    if not alpha >= 0:
+        raise ValueError("alpha must be >= 0")
+
+
 def eps1_instant(rate_nats: float, p1: float, alpha: float) -> float:
     """Outage probability given feedback "1", instantaneous CSI.
 
     Zero whenever the qualified channel already supports the rate
     (R <= log(1 + P1 alpha)); otherwise 1 - exp(alpha - (e^R - 1)/P1).
     """
-    if rate_nats <= 0 or alpha < 0:
-        raise ValueError("need rate > 0 and alpha >= 0")
+    _check_conditional(rate_nats, "p1", p1, alpha, all_zero=False)
     if p1 == 0.0:
         return 1.0
     if rate_nats <= math.log1p(p1 * alpha):
@@ -147,10 +164,7 @@ def eps1_instant(rate_nats: float, p1: float, alpha: float) -> float:
 
 def eps0_instant(rate_nats: float, p0: float, alpha: float) -> float:
     """Outage probability given feedback "0" from every user, instantaneous CSI."""
-    if rate_nats <= 0 or p0 < 0:
-        raise ValueError("need rate > 0 and p0 >= 0")
-    if alpha <= 0:
-        raise ValueError("the all-zero feedback event has probability 0 at alpha = 0")
+    _check_conditional(rate_nats, "p0", p0, alpha, all_zero=True)
     if p0 == 0.0:
         return 1.0
     if rate_nats <= math.log1p(p0 * alpha):
@@ -182,8 +196,10 @@ def zero_outage_threshold(power: float, rate_nats: float) -> float:
 
     alpha = 2 (e^R - 1) / P, i.e. R = log(1 + (P/2) alpha) exactly.
     """
-    if power <= 0 or rate_nats <= 0:
-        raise ValueError("need power > 0 and rate > 0")
+    if not power > 0:
+        raise ValueError("power must be > 0")
+    if not rate_nats > 0:
+        raise ValueError("rate_nats must be > 0")
     return 2.0 * math.expm1(rate_nats) / power
 
 
@@ -221,8 +237,7 @@ def eps1_outdated(rate_nats: float, p1: float, alpha: float, corr: CorrelationPa
     at |rho| = 1 and collapses to the unconditional exponential outage at
     rho = 0.
     """
-    if rate_nats <= 0 or alpha < 0:
-        raise ValueError("need rate > 0 and alpha >= 0")
+    _check_conditional(rate_nats, "p1", p1, alpha, all_zero=False)
     if p1 == 0.0:
         return 1.0
     if corr.is_instantaneous:
@@ -239,10 +254,7 @@ def eps1_outdated(rate_nats: float, p1: float, alpha: float, corr: CorrelationPa
 
 def eps0_outdated(rate_nats: float, p0: float, alpha: float, corr: CorrelationParams) -> float:
     """Outage probability given all-zero feedback with outdated CSI (mu, nu as in eps1_outdated)."""
-    if rate_nats <= 0:
-        raise ValueError("need rate > 0")
-    if alpha <= 0:
-        raise ValueError("the all-zero feedback event has probability 0 at alpha = 0")
+    _check_conditional(rate_nats, "p0", p0, alpha, all_zero=True)
     if p0 == 0.0:
         return 1.0
     if corr.is_instantaneous:
@@ -322,6 +334,8 @@ def default_threshold(mode: PowerMode, power: float, rate_nats: float) -> float:
     if mode.kind == "long_term_two_level":
         return zero_outage_threshold(power, rate_nats)
     p1 = power if mode.kind == "short_term" else float(mode.p1)
-    if p1 <= 0:
-        raise ValueError("cannot derive a zero-outage threshold for P1 = 0")
+    if not p1 > 0:
+        raise ValueError("p1 must be > 0 to derive a zero-outage threshold")
+    if not rate_nats > 0:
+        raise ValueError("rate_nats must be > 0")
     return math.expm1(rate_nats) / p1

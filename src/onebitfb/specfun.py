@@ -1,9 +1,9 @@
 """Special functions and quadrature used by every closed form in the package.
 
-Provides the first-order Marcum-Q function (series evaluation,
-large-argument asymptotics and exponential bounds), the standard normal
-upper tail, a stable ``exp(x)*E1(x)``, and an adaptive semi-infinite
-integrator built on a 15-point Gauss-Kronrod panel rule.
+Provides the first-order Marcum-Q function (through scipy's noncentral
+chi-square CDF), its large-argument approximation and exponential bounds, a
+stable ``exp(x)*E1(x)``, and an adaptive semi-infinite integrator built on a
+15-point Gauss-Kronrod panel rule.
 
 All functions are pure and accept scalars or numpy arrays where noted.
 """
@@ -21,20 +21,12 @@ from scipy import special as sc
 __all__ = [
     "QuadratureSpec",
     "ConvergenceError",
-    "std_normal_sf",
     "expx_e1",
     "marcum_q1",
     "marcum_q1_asymptotic",
     "marcum_q1_bounds",
     "integrate_semi_infinite",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-
-# Beyond this product a*b the Poisson-mixture series needs too many terms;
-# switch to the large-argument evaluation (relative error O(1/sqrt(a*b))).
-_SERIES_AB_LIMIT = 1.0e6
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -62,13 +54,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-def std_normal_sf(t):
-    """Upper tail of the standard normal, 1 - CDF, computed without cancellation."""
-    t = np.asarray(t, dtype=float)
-    out = 0.5 * sc.erfc(t / _SQRT2)
-    return float(out) if out.ndim == 0 else out
 
 
 def expx_e1(x):
@@ -114,59 +99,31 @@ def _expx_e1_cf(x: float) -> float:
     return h
 
 
-def _marcum_q1_series(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Poisson-mixture series Q1(a,b) = sum_n P(n; a^2/2) * Q(n+1, b^2/2).
-
-    P(n; x) is the Poisson pmf and Q(n+1, y) the regularized upper incomplete
-    gamma.  Terms are summed over a window of the Poisson distribution wide
-    enough that the neglected mass (hence the truncation error, since each
-    gamma factor is at most 1) is below 1e-15.  The pmf is evaluated in log
-    space so large noncentralities neither overflow nor underflow the window.
-    """
-    x = 0.5 * a * a
-    y = 0.5 * b * b
-    xmin = float(x.min())
-    xmax = float(x.max())
-    n_lo = max(0, int(math.floor(xmin - 12.0 * math.sqrt(xmin) - 25.0)))
-    n_hi = int(math.ceil(xmax + 12.0 * math.sqrt(xmax) + 25.0))
-    n = np.arange(n_lo, n_hi + 1, dtype=float)
-    lgam = sc.gammaln(n + 1.0)
-
-    out = np.empty_like(x)
-    # Chunk the elements so the (elements x terms) matrix stays modest.
-    chunk = max(1, int(4.0e6 / len(n)))
-    for start in range(0, x.size, chunk):
-        sl = slice(start, start + chunk)
-        xs = x[sl, None]
-        ys = y[sl, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_pmf = sc.xlogy(n, xs) - xs - lgam
-        pmf = np.exp(log_pmf)
-        out[sl] = np.sum(pmf * sc.gammaincc(n + 1.0, ys), axis=1)
-    return np.clip(out, 0.0, 1.0)
-
-
-def _marcum_q1_large(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Large a*b evaluation via the Gaussian-tail form of the Rician integral.
-
-    For b >= a uses sqrt(b/a) * Phi_bar(b - a); for b < a the complementary
-    identity Q1(a,b) + Q1(b,a) = 1 + exp(-(a^2+b^2)/2) I0(ab) is applied so
-    the same tail form is always used with ordered arguments.
-    """
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    tail = np.sqrt(hi / lo) * std_normal_sf(hi - lo)
-    ridge = sc.i0e(a * b) * np.exp(-0.5 * (a - b) ** 2)
-    out = np.where(b >= a, tail, 1.0 + ridge - tail)
-    return np.clip(out, 0.0, 1.0)
-
-
 def marcum_q1(a, b):
     """First-order Marcum-Q function Q1(a, b), vectorized.
 
-    Q1(a,b) = int_b^inf x exp(-(x^2+a^2)/2) I0(a x) dx.  Evaluated through
-    the absolutely convergent Poisson-mixture series; switches to a
-    large-argument asymptotic evaluation when a*b exceeds 1e6.
+    Q1(a,b) = int_b^inf x exp(-(x^2+a^2)/2) I0(a x) dx is the upper tail at
+    b^2 of a noncentral chi-square with 2 degrees of freedom and
+    noncentrality a^2, so it is computed from ``scipy.special.chndtr`` (the
+    noncentral chi-square CDF, from Boost) in one of two branches:
+
+    * b < a:   Q1 = 1 - chndtr(b^2, 2, a^2), a value of at least about 1/2;
+    * b >= a:  Q1 = exp(-(a-b)^2/2) i0e(ab) + chndtr(a^2, 2, b^2), the
+      complement identity Q1(a,b) + Q1(b,a) = 1 + exp(-(a^2+b^2)/2) I0(ab)
+      rearranged into a sum of two nonnegative terms, so the small upper
+      tail is formed without cancellation.
+
+    Absolute error is at roundoff level: under 1e-15 for a, b <= 50 against
+    a 50-digit reference, 1e-14 at a = b = 1500.  Relative error stays
+    near 1e-14 down to Q1 of about 1e-60; below that ``chndtr`` underflows
+    to 0 and Q1 keeps only its absolute accuracy (relative error up to about
+    20% once Q1 is under 1e-65).
+
+    Where |a - b| > 40 the exponential bounds (see :func:`marcum_q1_bounds`)
+    put Q1 within 1e-300 of 0 or 1, and that value is returned: ``chndtr``
+    gives NaN there once a^2 or b^2 passes about 1e19.  Nearer the ridge it
+    stops converging once max(a, b) passes about 2e5; that raises
+    OverflowError rather than return NaN.
     """
     a_arr, b_arr = np.broadcast_arrays(
         np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -175,19 +132,19 @@ def marcum_q1(a, b):
         raise ValueError("marcum_q1 requires finite arguments")
     if np.any(a_arr < 0) or np.any(b_arr < 0):
         raise ValueError("marcum_q1 requires nonnegative arguments")
-    scalar = a_arr.ndim == 0
-    af = np.atleast_1d(a_arr).ravel().astype(float)
-    bf = np.atleast_1d(b_arr).ravel().astype(float)
-
-    out = np.empty_like(af)
-    big = af * bf > _SERIES_AB_LIMIT
-    if np.any(~big):
-        out[~big] = _marcum_q1_series(af[~big], bf[~big])
-    if np.any(big):
-        out[big] = _marcum_q1_large(af[big], bf[big])
-    if scalar:
-        return float(out[0])
-    return out.reshape(a_arr.shape)
+    a2 = a_arr * a_arr
+    b2 = b_arr * b_arr
+    out = np.where(
+        b_arr < a_arr,
+        1.0 - sc.chndtr(b2, 2.0, a2),
+        np.exp(-0.5 * (a_arr - b_arr) ** 2) * sc.i0e(a_arr * b_arr)
+        + sc.chndtr(a2, 2.0, b2),
+    )
+    out = np.where(np.abs(a_arr - b_arr) > 40.0, (b_arr < a_arr).astype(float), out)
+    if np.any(np.isnan(out)):
+        raise OverflowError("marcum_q1: arguments too large for scipy's chndtr near b = a")
+    out = np.clip(out, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def marcum_q1_asymptotic(a, b):

@@ -224,3 +224,33 @@ class TestRejectedInputs:
         code, err = exit_status(capsys, *argv)
         assert code == 2
         assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("figure", "fig1", "--k", "4"), "--k"),
+            (("figure", "fig1", "--rate-bits", "2"), "--rate-bits"),
+            (("figure", "fig2", "--snr-db", "3"), "--snr-db"),
+            (("figure", "fig3", "--k", "4"), "--k"),
+            (("figure", "fig3", "--snr-db", "3"), "--snr-db"),
+            (("figure", "fig4", "--snr-db", "3"), "--snr-db"),
+            (("figure", "fig5", "--snr-db", "3"), "--snr-db"),
+            (("figure", "fig5", "--rate-bits", "9"), "--rate-bits"),
+        ],
+    )
+    def test_flags_a_figure_does_not_read(self, capsys, argv, flag):
+        code, err = exit_status(capsys, *argv)
+        assert code == 2
+        assert flag in err
+
+    def test_figure_reads_its_own_flags(self, capsys, tmp_path):
+        out = str(tmp_path / "f5.csv")
+        assert exit_status(capsys, "figure", "fig5", "--k", "4", "--seed", "1",
+                           "--out", out, "--format", "csv")[0] == 0
+
+    @pytest.mark.parametrize("alpha", ["1", "suboptimal:1"])
+    def test_wideband_snr_needs_optimal_alpha(self, capsys, alpha):
+        code, err = exit_status(capsys, "wideband", "--k", "4", "--alpha", alpha,
+                                "--snr-db", "99")
+        assert code == 2
+        assert "--snr-db" in err

@@ -240,3 +240,21 @@ class TestValidation:
                 OutageConfig(1, bad, c, 1.0, 0.5, PowerMode.short_term())
             with pytest.raises(ValueError, match="P1, P0"):
                 PowerMode.explicit(bad, 2.0)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            pytest.param(lambda r: eps1_instant(r, 1.0, 0.5), id="eps1_instant"),
+            pytest.param(lambda r: eps0_instant(r, 1.0, 0.5), id="eps0_instant"),
+            pytest.param(lambda r: eps1_outdated(r, 1.0, 0.5, CorrelationParams(0.5)),
+                         id="eps1_outdated"),
+            pytest.param(lambda r: eps0_outdated(r, 1.0, 0.5, CorrelationParams(0.5)),
+                         id="eps0_outdated"),
+            pytest.param(lambda r: zero_outage_threshold(10.0, r), id="zero_outage_threshold"),
+            pytest.param(lambda r: default_threshold(PowerMode.long_term(), 10.0, r),
+                         id="default_threshold"),
+        ],
+    )
+    def test_nan_rate_rejected(self, evaluate):
+        with pytest.raises(ValueError, match="rate_nats"):
+            evaluate(math.nan)

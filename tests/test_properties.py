@@ -1,0 +1,76 @@
+"""Property tests: Marcum-Q identities and outage probabilities in range."""
+
+import math
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import special
+
+from onebitfb.channel import CorrelationParams
+from onebitfb.outage import OutageConfig, PowerMode, outage_outdated
+from onebitfb.specfun import marcum_q1, marcum_q1_bounds
+
+ARG = st.floats(0.0, 40.0)
+STEP = st.floats(0.0, 5.0)
+# Monotonicity holds to roundoff only: where Q1 is close to 1 two neighbours
+# may come out one ulp apart in the wrong order.
+ROUNDOFF = 1e-15
+
+
+@given(ARG, ARG)
+def test_marcum_in_unit_interval(a, b):
+    q = marcum_q1(a, b)
+    assert 0.0 <= q <= 1.0
+
+
+@given(ARG, ARG)
+def test_marcum_complement_identity(a, b):
+    # Q1(a,b) + Q1(b,a) = 1 + exp(-(a^2+b^2)/2) I0(ab)
+    rhs = 1.0 + math.exp(-0.5 * (a - b) ** 2) * special.i0e(a * b)
+    assert abs(marcum_q1(a, b) + marcum_q1(b, a) - rhs) <= 1e-14
+
+
+@given(ARG, ARG, STEP)
+def test_marcum_nonincreasing_in_b(a, b, step):
+    assert marcum_q1(a, b + step) <= marcum_q1(a, b) + ROUNDOFF
+
+
+@given(ARG, ARG, STEP)
+def test_marcum_nondecreasing_in_a(a, b, step):
+    assert marcum_q1(a + step, b) >= marcum_q1(a, b) - ROUNDOFF
+
+
+@given(ARG, ARG)
+def test_marcum_within_bounds(a, b):
+    lo, hi = marcum_q1_bounds(a, b)
+    q = marcum_q1(a, b)
+    assert lo * (1.0 - 1e-12) <= q <= hi * (1.0 + 1e-12)
+
+
+@st.composite
+def outage_configs(draw):
+    mode = draw(st.sampled_from(["short", "long", "explicit"]))
+    if mode == "short":
+        power_mode = PowerMode.short_term()
+    elif mode == "long":
+        power_mode = PowerMode.long_term()
+    else:
+        power_mode = PowerMode.explicit(draw(st.floats(0.0, 1e4)), draw(st.floats(0.0, 1e4)))
+    # The long-term split needs Pr(N = 0) > 0, so alpha > 0 there.
+    alpha_min = 1e-3 if mode == "long" else 0.0
+    return OutageConfig(
+        num_users=draw(st.integers(1, 64)),
+        power=10.0 ** (draw(st.floats(-10.0, 40.0)) / 10.0),
+        corr=CorrelationParams(draw(st.floats(-1.0, 1.0))),
+        rate_nats=draw(st.floats(1e-3, 6.0)),
+        threshold=draw(st.floats(alpha_min, 10.0)),
+        mode=power_mode,
+    )
+
+
+@given(outage_configs())
+def test_outdated_outage_in_unit_interval(cfg):
+    rep = outage_outdated(cfg)
+    values = np.array([rep.eps, rep.eps1, rep.eps0])
+    assert np.all((values >= 0.0) & (values <= 1.0)), (cfg, rep)

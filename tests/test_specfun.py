@@ -12,7 +12,6 @@ from onebitfb.specfun import (
     marcum_q1,
     marcum_q1_asymptotic,
     marcum_q1_bounds,
-    std_normal_sf,
 )
 
 # Frozen via scipy.integrate.quad of the defining integral
@@ -24,6 +23,16 @@ MARCUM_GOLDENS = [
     (50.0, 50.0, 0.503989622320054),
     (0.001, 5.0, 3.72667646369063e-06),
     (3.0, 0.5, 0.998300232705539),
+]
+
+# Frozen via mpmath at 50 digits: the Poisson mixture
+# sum_n e^{-a^2/2} (a^2/2)^n / n! * Q(n+1, b^2/2), Q the regularized upper
+# incomplete gamma.
+MARCUM_MPMATH_GOLDENS = [
+    (5.0, 20.0, 7.3632569038849647e-51),
+    (20.0, 35.0, 4.8616793396764066e-51),
+    (1.0, 12.0, 6.7155062342890964e-28),
+    (10.0, 10.0, 0.51997218964954834),
 ]
 
 # Frozen via mpmath: exp(x) * e1(x) at 30 digits.
@@ -39,6 +48,17 @@ class TestMarcumQ1:
     @pytest.mark.parametrize("a,b,want", MARCUM_GOLDENS)
     def test_quadrature_goldens(self, a, b, want):
         assert marcum_q1(a, b) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("a,b,want", MARCUM_MPMATH_GOLDENS)
+    def test_mpmath_goldens(self, a, b, want):
+        # abs=0: approx otherwise also accepts anything within 1e-12 absolute
+        assert marcum_q1(a, b) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("a", [100.0, 1500.0])
+    def test_equal_arguments_identity(self, a):
+        # Q1(a, a) = (1 + exp(-a^2) I0(a^2)) / 2, the complement identity at b = a.
+        # 2e-14: scipy's chndtr is 2e-14 relative off at noncentrality 1500^2.
+        assert marcum_q1(a, a) == pytest.approx(0.5 * (1.0 + special.i0e(a * a)), abs=2e-14)
 
     def test_a_zero_is_rayleigh_tail(self):
         for b in (0.1, 1.0, 3.0):
@@ -71,17 +91,13 @@ class TestMarcumQ1:
         assert q.shape == (17, 23)
         assert np.all(q >= 0.0) and np.all(q <= 1.0)
 
-    def test_large_argument_path_continuity(self):
-        # values straddling the series/asymptotic switch agree with each other
-        a = 1500.0
-        for b in (1480.0, 1500.0, 1520.0):
-            direct = marcum_q1(a, b)
-            # Normal-tail form valid at large a*b for b >= a, complement else
-            if b >= a:
-                ref = math.sqrt(b / a) * std_normal_sf(b - a)
-            else:
-                ref = 1.0 - math.sqrt(a / b) * std_normal_sf(a - b)
-            assert direct == pytest.approx(ref, abs=5e-4)
+    def test_huge_arguments_saturate_or_raise(self):
+        # chndtr gives NaN at these noncentralities; the bounds pin Q1 far off
+        # the ridge, and on it the failure is loud.
+        assert marcum_q1(1e44, 0.5) == 1.0
+        assert marcum_q1(0.5, 1e44) == 0.0
+        with pytest.raises(OverflowError):
+            marcum_q1(5e5, 5e5)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -103,7 +119,7 @@ class TestMarcumQ1:
     def test_asymptotic_near_ridge(self):
         # normal-tail form approximates the exact value when a,b are large and close
         a, b = 200.0, 203.0
-        approx = math.sqrt(b / a) * std_normal_sf(b - a)
+        approx = math.sqrt(b / a) * special.ndtr(a - b)
         assert approx == pytest.approx(marcum_q1(a, b), rel=2e-2)
 
     def test_asymptotic_rejects_nonpositive(self):
@@ -124,11 +140,6 @@ class TestScalars:
     def test_expx_e1_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             expx_e1(0.0)
-
-    def test_normal_helpers(self):
-        assert std_normal_sf(0.0) == pytest.approx(0.5)
-        assert std_normal_sf(-1.0) + std_normal_sf(1.0) == pytest.approx(1.0)
-        assert std_normal_sf(1.0) == pytest.approx(special.ndtr(-1.0), rel=1e-14)
 
 
 class TestQuadrature:
