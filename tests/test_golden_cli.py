@@ -49,6 +49,8 @@ COMMANDS = {
     f" --power-mode long-term {SIM}",
     "simulate_outage_explicit": "simulate --k 4 --rho 0.5 --rate-bits 1"
     f" --power-mode explicit:10,40 --sweep snr-db=0:20:3 {SIM}",
+    "figure_fig1": "figure fig1",
+    "figure_fig2": "figure fig2",
     "figure_fig3": "figure fig3",
     "figure_fig4": "figure fig4 --rate-bits 2",
     "figure_fig5_json": "figure fig5 --format json",
