@@ -364,24 +364,23 @@ def _emit_series(args, figure_id: str, series: str, columns, rows):
     _write_table(_figure_out(args, series), args.format, meta, columns, rows)
 
 
+def _rate_series(args, figure_id: str, series: str, key: str, xs, rate_at):
+    """Emit one series of rate_at(x), in nats and bits, at each x of ``xs``."""
+    rates = [rate_at(x) for x in xs]
+    rows = [{key: x, "rate_nats": r, "rate_bits": r / _LOG2} for x, r in zip(xs, rates)]
+    _emit_series(args, figure_id, series, [key, "rate_nats", "rate_bits"], rows)
+
+
 def _figure1(args):
     """Ergodic sum-rate vs number of users at P = 20 dB."""
     power = 10.0 ** (_snr_db(args) / 10.0)
     ks = [2 ** i for i in range(1, 11)]
     quad = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-7)
-    series = {
-        "full_csi": lambda k: ergodic.full_csi_rate(k, power, quad),
-        "onebit_rho1.0": lambda k: _opt_rate(k, power, 1.0, quad),
-        "onebit_rho0.9": lambda k: _opt_rate(k, power, 0.9, quad),
-        "onebit_rho0.5": lambda k: _opt_rate(k, power, 0.5, quad),
-        "no_csi": lambda k: ergodic.no_csi_rate(power),
-    }
-    for name, fn in series.items():
-        rows = []
-        for k in ks:
-            rate = fn(k)
-            rows.append({"k": k, "rate_nats": rate, "rate_bits": rate / _LOG2})
-        _emit_series(args, "fig1", name, ["k", "rate_nats", "rate_bits"], rows)
+    _rate_series(args, "fig1", "full_csi", "k", ks, lambda k: ergodic.full_csi_rate(k, power, quad))
+    for rho in (1.0, 0.9, 0.5):
+        _rate_series(args, "fig1", f"onebit_rho{rho}", "k", ks,
+                     lambda k: _opt_rate(k, power, rho, quad))
+    _rate_series(args, "fig1", "no_csi", "k", ks, lambda k: ergodic.no_csi_rate(power))
 
 
 def _opt_rate(k: int, power: float, rho: float, quad) -> float:
@@ -399,26 +398,14 @@ def _figure2(args):
         corr = channel.CorrelationParams(rho)
         alpha = ergodic.optimal_threshold(k, 1.0, corr, quad)
         wb = ergodic.wideband_metrics(alpha, k, corr)
-        exact_rows, affine_rows = [], []
-        for db in grid_db:
-            rate, _ = ergodic.rate_at_ebn0(db, k, corr, alpha, quad)
-            exact_rows.append(
-                {"ebn0_db": db, "rate_nats": rate, "rate_bits": rate / _LOG2}
-            )
-            approx = ergodic.affine_rate_approx(db, wb)
-            affine_rows.append(
-                {"ebn0_db": db, "rate_nats": approx, "rate_bits": approx / _LOG2}
-            )
-        cols = ["ebn0_db", "rate_nats", "rate_bits"]
-        _emit_series(args, "fig2", f"exact_rho{rho}", cols, exact_rows)
-        _emit_series(args, "fig2", f"affine_rho{rho}", cols, affine_rows)
+        _rate_series(args, "fig2", f"exact_rho{rho}", "ebn0_db", grid_db,
+                     lambda db: ergodic.rate_at_ebn0(db, k, corr, alpha, quad)[0])
+        _rate_series(args, "fig2", f"affine_rho{rho}", "ebn0_db", grid_db,
+                     lambda db: ergodic.affine_rate_approx(db, wb))
     # no-CSI reference: single user, alpha = 0
     corr0 = channel.CorrelationParams(0.0)
-    rows = []
-    for db in grid_db:
-        rate, _ = ergodic.rate_at_ebn0(db, 1, corr0, 0.0, quad)
-        rows.append({"ebn0_db": db, "rate_nats": rate, "rate_bits": rate / _LOG2})
-    _emit_series(args, "fig2", "no_csi", ["ebn0_db", "rate_nats", "rate_bits"], rows)
+    _rate_series(args, "fig2", "no_csi", "ebn0_db", grid_db,
+                 lambda db: ergodic.rate_at_ebn0(db, 1, corr0, 0.0, quad)[0])
 
 
 _FIGURE_GRID_DB = [2.0 * i for i in range(21)]

@@ -42,6 +42,7 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 _3DB = 10.0 * math.log10(2.0)
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -215,27 +216,27 @@ def optimal_threshold(
 ) -> float:
     """Numerically maximize the sum-rate over the threshold.
 
-    Coarse grid (step 0.05) over [0, log K + 6] with the left-most maximizer
-    on ties, then ternary refinement of the best cell down to width 1e-4.
+    The rate rises and then falls in alpha, so a golden-section search
+    narrows [0, log K + 6] to a bracket of width 1e-4 and returns its
+    midpoint, or exactly 0 when the maximum sits at alpha = 0.
     """
     coarse = quad or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-7)
 
     def rate(alpha: float) -> float:
         return sum_rate(ErgodicConfig(num_users, power, corr, alpha), coarse)
 
-    hi = math.log(num_users) + 6.0 if num_users > 1 else 6.0
-    grid = np.arange(0.0, hi + 0.05, 0.05)
-    vals = [rate(a) for a in grid]
-    best = int(np.argmax(vals))  # argmax returns the first (left-most) maximizer
-    lo = grid[max(best - 1, 0)]
-    up = grid[min(best + 1, len(grid) - 1)]
+    lo, up = 0.0, math.log(num_users) + 6.0
+    x1, x2 = up - _INV_PHI * (up - lo), lo + _INV_PHI * (up - lo)
+    f1, f2 = rate(x1), rate(x2)
     while up - lo > 1e-4:
-        m1 = lo + (up - lo) / 3.0
-        m2 = up - (up - lo) / 3.0
-        if rate(m1) >= rate(m2):
-            up = m2
+        if f1 >= f2:
+            up, x2, f2 = x2, x1, f1
+            f1 = rate(x1 := up - _INV_PHI * (up - lo))
         else:
-            lo = m1
+            lo, x1, f1 = x1, x2, f2
+            f2 = rate(x2 := lo + _INV_PHI * (up - lo))
+    if lo == 0.0 and rate(0.0) >= max(f1, f2):
+        return 0.0
     return 0.5 * (lo + up)
 
 
@@ -293,28 +294,35 @@ def rate_at_ebn0(
     corr: CorrelationParams,
     alpha: float,
     quad: QuadratureSpec | None = None,
-    tol: float = 1e-10,
 ) -> tuple[float, float]:
     """Invert the implicit Eb/N0 relation; returns (rate_nats, power).
 
-    Fixed-point iteration on P = R_bits(P) * Eb/N0 starting from a small
-    power; converges to P = 0 (zero rate) below Eb/N0_min.
+    Zero rate at or below Eb/N0_min.  Above it, P / R_bits(P) rises with P:
+    bisect in log P to width 1e-12, from [ln 1e-10, 0] with the upper end
+    raised by 4 until it brackets the target.
     """
-    ebn0 = 10.0 ** (ebn0_db / 10.0)
-    power = 1e-3
-    for _ in range(300):
-        rate = sum_rate(ErgodicConfig(num_users, power, corr, alpha), quad)
-        new_power = rate / _LOG2 * ebn0
-        if abs(new_power - power) <= tol * max(1.0, abs(power)):
-            power = new_power
-            break
-        power = new_power
-        if power < 1e-14:
-            return 0.0, 0.0
-    if power < 1e-8:  # converged onto the decaying branch below Eb/N0_min
+    if not math.isfinite(ebn0_db):
+        raise ValueError("ebn0_db must be finite")
+    if ebn0_db <= wideband_metrics(alpha, num_users, corr).ebn0_min_db:
         return 0.0, 0.0
-    rate = sum_rate(ErgodicConfig(num_users, power, corr, alpha), quad)
-    return rate, power
+
+    def point(log_power: float) -> tuple[float, float]:
+        power = math.exp(log_power)
+        return sum_rate(ErgodicConfig(num_users, power, corr, alpha), quad), power
+
+    lo, up = math.log(1e-10), 0.0
+    best = point(up)
+    while ebn0_db_from_power(*best) < ebn0_db:
+        lo, up = up, up + 4.0
+        best = point(up)
+    while up - lo > 1e-12:
+        mid = 0.5 * (lo + up)
+        trial = point(mid)
+        if ebn0_db_from_power(*trial) < ebn0_db:
+            lo = mid
+        else:
+            up, best = mid, trial
+    return best
 
 
 def multiplexing_gain_bounds(alpha: float, num_users: int, corr: CorrelationParams) -> tuple[float, float]:

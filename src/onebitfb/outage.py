@@ -213,7 +213,10 @@ def power_split_longterm(power: float, alpha: float, num_users: int) -> tuple[fl
     if alpha <= 0:
         raise ValueError("P0 is unbounded at alpha = 0 (Pr(N=0) = 0)")
     pr_none = (-math.expm1(-alpha)) ** num_users
-    return 0.5 * power, 0.5 * power / pr_none
+    p0 = 0.5 * power / pr_none if pr_none > 0.0 else math.inf
+    if not math.isfinite(p0):
+        raise OverflowError(f"P0 overflows: (1-e^-alpha)^K = {pr_none:.3g} at K={num_users}")
+    return 0.5 * power, p0
 
 
 def outage_longterm_closed(power: float, num_users: int, rate_nats: float) -> float:
@@ -277,8 +280,6 @@ def eps0_outdated(rate_nats: float, p0: float, alpha: float, corr: CorrelationPa
 
 def outage_outdated(cfg: OutageConfig) -> OutageReport:
     """Total outage with outdated feedback; equals the instantaneous result at |rho| = 1."""
-    if cfg.corr.is_instantaneous:
-        return outage_instant(cfg)
     return _mix(cfg, eps1_outdated, eps0_outdated, cfg.corr)
 
 

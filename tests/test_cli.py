@@ -1,9 +1,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import onebitfb
 from onebitfb.cli import main
 
 
@@ -254,3 +258,29 @@ class TestRejectedInputs:
                                 "--snr-db", "99")
         assert code == 2
         assert "--snr-db" in err
+
+    @pytest.mark.parametrize("k", ["5000", "1000000"])
+    def test_unbounded_p0_is_a_numerical_failure(self, capsys, k):
+        # (1 - e^{-alpha})^K underflows: P0 is inf at K = 5000 and 1/0 at 1e6.
+        code, err = exit_status(capsys, "outage", "--k", k, "--rho", "0.5", "--rate-bits", "1")
+        assert code == 3
+        assert "P0" in err
+
+
+def test_no_optimize_or_integrate_import():
+    """The package, its optimizer, inversion and CLI load neither scipy.optimize
+    nor scipy.integrate, which would add about 23 MiB and 0.3 s to a run."""
+    code = """
+import os, sys
+from onebitfb import channel, cli, ergodic
+c = channel.CorrelationParams(0.9)
+ergodic.optimal_threshold(4, 10.0, c)
+ergodic.rate_at_ebn0(2.0, 4, c, 0.8)
+assert cli.main(["wideband", "--k", "8", "--rho", "0.9", "--out", os.devnull]) == 0
+print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
+"""
+    src = os.path.dirname(os.path.dirname(onebitfb.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env)
+    assert done.stdout.strip() == "[]"

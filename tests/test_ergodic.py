@@ -39,6 +39,12 @@ FULL_CSI_GOLDEN_4_10 = 2.94079210910671
 # rate evaluated at abs_tol 1e-12.
 ALPHA_OPT_GOLDEN_100_100_09 = 3.0811911443589137
 
+TIGHT = QuadratureSpec(
+    abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=2000, tail_cutoff_tol=1e-18
+)
+# The quadrature tolerance of the low-SNR figure (fig2).
+FIG2_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
+
 
 class TestSumRate:
     def test_against_riemann_oracle(self):
@@ -126,6 +132,23 @@ class TestThresholds:
         for da in (-0.05, 0.05):
             assert r >= sum_rate(ErgodicConfig(16, 50.0, c, a + da)) - 1e-9
 
+    @pytest.mark.parametrize("k,rho", [(1, 0.9), (1, 1.0), (4, 0.0), (1024, 0.0)])
+    def test_optimum_at_zero_is_exact(self, k, rho):
+        # K = 1: raising alpha only drops transmissions; rho = 0: the rate is
+        # Pr(N>0) times a constant.
+        assert optimal_threshold(k, 100.0, CorrelationParams(rho)) == 0.0
+
+    @pytest.mark.parametrize("k", [2, 1024, 10**6])
+    @pytest.mark.parametrize("rho", [0.5, 1.0])
+    def test_optimum_beats_coarse_grid(self, k, rho):
+        c = CorrelationParams(rho)
+
+        def rate(alpha):
+            return sum_rate(ErgodicConfig(k, 100.0, c, alpha), TIGHT)
+
+        grid_best = max(rate(a) for a in np.arange(0.0, math.log(k) + 6.0 + 1e-9, 0.05))
+        assert rate(optimal_threshold(k, 100.0, c)) >= grid_best * (1.0 - 1e-9)
+
     def test_policy_resolution(self):
         c = CorrelationParams(0.9)
         assert ThresholdPolicy("fixed", 1.25).resolve(8, 10.0, c) == 1.25
@@ -161,6 +184,24 @@ class TestWideband:
         rate, power = rate_at_ebn0(2.0, 4, c, 0.8)
         assert rate > 0
         assert ebn0_db_from_power(rate, power) == pytest.approx(2.0, abs=1e-6)
+
+    def test_inversion_just_above_minimum(self):
+        c = CorrelationParams(0.9)
+        target = wideband_metrics(3.0, 100, c).ebn0_min_db + 0.05
+        rate, power = rate_at_ebn0(target, 100, c, 3.0, FIG2_QUAD)
+        assert ebn0_db_from_power(rate, power) == pytest.approx(target, abs=1e-6)
+
+    def test_inversion_no_csi_closed_form(self):
+        # K=1, rho=0, alpha=0: R(P) = e^{1/P} E1(1/P), so the point must
+        # satisfy that closed form as well as hit the target.
+        rate, power = rate_at_ebn0(-1.5, 1, CorrelationParams(0.0), 0.0, FIG2_QUAD)
+        assert rate == pytest.approx(0.021341, abs=5e-7)
+        assert rate == pytest.approx(no_csi_rate(power), rel=1e-14)
+        assert ebn0_db_from_power(rate, power) == pytest.approx(-1.5, abs=1e-9)
+
+    def test_inversion_rejects_nan_target(self):
+        with pytest.raises(ValueError, match="ebn0_db"):
+            rate_at_ebn0(math.nan, 4, CorrelationParams(0.9), 0.8)
 
     def test_below_minimum_rate_is_zero(self):
         wb = wideband_metrics(0.0, 1, CorrelationParams(0.0))
