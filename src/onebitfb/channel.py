@@ -14,15 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sc
 
-from .specfun import marcum_q1
-
 __all__ = [
     "CorrelationParams",
     "JakesParams",
     "DegenerateCorrelationError",
     "rho_from_jakes",
     "joint_pdf",
-    "conditional_pdf_vtau",
 ]
 
 # Treat |rho| this close to 1 as exact instantaneous feedback; the outdated
@@ -91,32 +88,4 @@ def joint_pdf(v, v_tau, c: CorrelationParams):
     expo = -((v_tau - r * v) ** 2) / omr2 - v * v
     out = 4.0 * v_tau * v / omr2 * sc.i0e(arg) * np.exp(expo)
     return float(out) if out.ndim == 0 else out
-
-
-def conditional_pdf_vtau(z, alpha: float, c: CorrelationParams):
-    """Density of the transmission-time envelope given the feedback event v^2 >= alpha.
-
-    f(z | v^2 >= alpha) = 2 z exp(-z^2 + alpha)
-                          * Q1(sqrt(2)|rho| z / sqrt(1-rho^2),
-                               sqrt(2 alpha) / sqrt(1-rho^2)).
-
-    Reduces bit-exactly to the unconditional Rayleigh density 2 z exp(-z^2)
-    when alpha = 0 or rho = 0.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    z = np.asarray(z, dtype=float)
-    if alpha == 0.0 or c.rho == 0.0:
-        out = 2.0 * z * np.exp(-z * z)
-        return float(out) if out.ndim == 0 else out
-    if c.is_instantaneous:
-        raise DegenerateCorrelationError(
-            "conditional density requires |rho| < 1; use the truncated "
-            "Rayleigh specialization for instantaneous feedback"
-        )
-    r = c.abs_rho
-    s = math.sqrt(1.0 - r * r)
-    q = marcum_q1(math.sqrt(2.0) * r / s * z, math.sqrt(2.0 * alpha) / s)
-    out = 2.0 * z * np.exp(-z * z + alpha) * q
-    return float(out) if np.ndim(out) == 0 else out
 

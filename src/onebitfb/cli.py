@@ -100,6 +100,8 @@ def _parse_sweep(text: str):
         )
     if points < 1:
         raise argparse.ArgumentTypeError("sweep needs at least one point")
+    if not (math.isfinite(start) and math.isfinite(stop)) or (log and min(start, stop) <= 0):
+        raise argparse.ArgumentTypeError("sweep ends must be finite, and positive with :log")
     if log:
         values = np.geomspace(start, stop, points)
     else:
@@ -111,9 +113,7 @@ def _resolve_rho(args) -> channel.CorrelationParams:
     if args.rho is not None:
         return channel.CorrelationParams(args.rho)
     if args.doppler_hz is not None and args.delay_s is not None:
-        return channel.rho_from_jakes(
-            channel.JakesParams(args.doppler_hz, args.delay_s)
-        )
+        return channel.rho_from_jakes(channel.JakesParams(args.doppler_hz, args.delay_s))
     return channel.CorrelationParams(1.0)
 
 
@@ -177,16 +177,19 @@ _VALUES = {
 
 def _sweep_rows(args, rows_at, base: dict, sweep) -> list[dict]:
     """The rows ``rows_at(args, point)`` gives at each sweep point, or at ``base``."""
-    if sweep is None:
-        return list(rows_at(args, base))
-    name, values = sweep
-    if name not in base:
-        raise SystemExit(_usage_error(f"cannot sweep unknown parameter {name!r}"))
+    points = [base]
+    if sweep is not None:
+        name, values = sweep
+        if name not in base:
+            raise SystemExit(_usage_error(f"--sweep: unknown parameter {name!r}"))
+        points = [{**base, name: int(round(v)) if name == "k" else v} for v in values]
     rows = []
-    for v in values:
-        point = dict(base)
-        point[name] = int(round(v)) if name == "k" else v
-        rows.extend(rows_at(args, point))
+    for point in points:
+        try:
+            rows.extend(rows_at(args, point))
+        except (ConvergenceError, OverflowError) as exc:
+            exc.point = point  # main names the point that failed
+            raise
     return rows
 
 
@@ -334,8 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, cmd in _COMMANDS.items():
         _add_flags(sub.add_parser(name), cmd.flags)
     figures = sub.add_parser("figure").add_subparsers(dest="figure_id", required=True)
-    for name, (_, flags) in _FIGURES.items():
-        _add_flags(figures.add_parser(name), flags + ("seed",))
+    for name, (_, defaults) in _FIGURES.items():
+        fig = figures.add_parser(name)
+        _add_flags(fig, tuple(f.replace("_", "-") for f in defaults) + ("seed",))
+        fig.set_defaults(**defaults)
     return parser
 
 
@@ -345,6 +350,9 @@ def _run_command(args) -> int:
     base = {key: _VALUES[key](args) for key in cmd.base}
     rows = _sweep_rows(args, cmd.rows, base, getattr(args, "sweep", None))
     meta = {"command": args.command, **{key: _VALUES[key](args) for key in cmd.meta}, **base}
+    for key, value in meta.items():  # a swept value echoed here is read nowhere else
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite")
     _write_table(args.out, args.format, meta, list(rows[0]), rows)
     return 0
 
@@ -372,8 +380,8 @@ def _rate_series(args, figure_id: str, series: str, key: str, xs, rate_at):
 
 
 def _figure1(args):
-    """Ergodic sum-rate vs number of users at P = 20 dB."""
-    power = 10.0 ** (_snr_db(args) / 10.0)
+    """Ergodic sum-rate vs number of users at P = --snr-db (default 20 dB)."""
+    power = 10.0 ** (args.snr_db / 10.0)
     ks = [2 ** i for i in range(1, 11)]
     quad = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-7)
     _rate_series(args, "fig1", "full_csi", "k", ks, lambda k: ergodic.full_csi_rate(k, power, quad))
@@ -390,22 +398,21 @@ def _opt_rate(k: int, power: float, rho: float, quad) -> float:
 
 
 def _figure2(args):
-    """Low-SNR spectral efficiency vs Eb/N0 for K = 100."""
-    k = args.k if args.k > 1 else 100
+    """Low-SNR spectral efficiency vs Eb/N0 for K users (default 100)."""
     quad = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
     grid_db = [(-2.0 + 0.5 * i) for i in range(25)]
     for rho in (1.0, 0.9, 0.5):
         corr = channel.CorrelationParams(rho)
-        alpha = ergodic.optimal_threshold(k, 1.0, corr, quad)
-        wb = ergodic.wideband_metrics(alpha, k, corr)
+        alpha = ergodic.optimal_threshold(args.k, 1.0, corr, quad)
+        wb = ergodic.wideband_metrics(alpha, args.k, corr)
         _rate_series(args, "fig2", f"exact_rho{rho}", "ebn0_db", grid_db,
-                     lambda db: ergodic.rate_at_ebn0(db, k, corr, alpha, quad)[0])
+                     lambda db: ergodic.rate_at_ebn0(db, args.k, corr, alpha, quad)[0])
         _rate_series(args, "fig2", f"affine_rho{rho}", "ebn0_db", grid_db,
                      lambda db: ergodic.affine_rate_approx(db, wb))
-    # no-CSI reference: single user, alpha = 0
-    corr0 = channel.CorrelationParams(0.0)
+    # no-CSI reference: single user, rho = 0, alpha = 0
+    no_fb = channel.CorrelationParams(0.0)
     _rate_series(args, "fig2", "no_csi", "ebn0_db", grid_db,
-                 lambda db: ergodic.rate_at_ebn0(db, 1, corr0, 0.0, quad)[0])
+                 lambda db: ergodic.rate_at_ebn0(db, 1, no_fb, 0.0, quad)[0])
 
 
 _FIGURE_GRID_DB = [2.0 * i for i in range(21)]
@@ -421,45 +428,40 @@ def _outage_series(args, figure_id, series, k, rho, rate, mode):
 
 def _figure3(args):
     """Instantaneous-feedback outage vs SNR, both power constraints."""
-    rate = args.rate_bits * _LOG2 if args.rate_bits else 3.0 * _LOG2
+    rate = args.rate_bits * _LOG2
+    modes = (("short", outage.PowerMode.short_term()), ("long", outage.PowerMode.long_term()))
     for k in (1, 8, 16):
-        for mode_name, mode in (
-            ("short", outage.PowerMode.short_term()),
-            ("long", outage.PowerMode.long_term()),
-        ):
+        for mode_name, mode in modes:
             _outage_series(args, "fig3", f"k{k}_{mode_name}", k, 1.0, rate, mode)
 
 
 def _figure4(args):
-    """Outdated-feedback outage vs SNR for K = 16 under long-term power."""
-    rate = args.rate_bits * _LOG2 if args.rate_bits else 3.0 * _LOG2
-    k = args.k if args.k > 1 else 16
+    """Outdated-feedback outage vs SNR for K users (default 16) under long-term power."""
+    rate = args.rate_bits * _LOG2
     for rho in (0.0, 0.5, 0.9, 1.0):
-        _outage_series(args, "fig4", f"rho{rho}", k, rho, rate, outage.PowerMode.long_term())
-    # SISO no-feedback reference at full power
-    rows = []
-    for db in _FIGURE_GRID_DB:
-        power = 10.0 ** (db / 10.0)
-        eps = -math.expm1(-math.expm1(rate) / power)
-        rows.append({"snr_db": db, "eps": eps})
+        _outage_series(args, "fig4", f"rho{rho}", args.k, rho, rate, outage.PowerMode.long_term())
+    # SISO no-feedback reference at full power: outage with rho = 0 and alpha = 0
+    no_fb = channel.CorrelationParams(0.0)
+    rows = [{"snr_db": db, "eps": outage.eps1_outdated(rate, 10.0 ** (db / 10.0), 0.0, no_fb)}
+            for db in _FIGURE_GRID_DB]
     _emit_series(args, "fig4", "no_csi", ["snr_db", "eps"], rows)
 
 
 def _figure5(args):
-    """DMT curves for all schemes at K = 16."""
-    k = args.k if args.k > 1 else 16
+    """DMT curves for all schemes at K users (default 16)."""
     for scheme in outage.DMT_SCHEMES:
-        rows = _dmt_rows(argparse.Namespace(scheme=scheme), {"k": k})
+        rows = _dmt_rows(argparse.Namespace(scheme=scheme), {"k": args.k})
         _emit_series(args, "fig5", scheme, ["r", "d"], rows)
 
 
-# Each figure with the flags it reads besides --seed, --out and --format.
+# Each figure with the flags it reads besides --seed, --out and --format,
+# and their defaults for that figure.
 _FIGURES = {
-    "fig1": (_figure1, ("snr-db",)),
-    "fig2": (_figure2, ("k",)),
-    "fig3": (_figure3, ("rate-bits",)),
-    "fig4": (_figure4, ("k", "rate-bits")),
-    "fig5": (_figure5, ("k",)),
+    "fig1": (_figure1, {"snr_db": 20.0}),
+    "fig2": (_figure2, {"k": 100}),
+    "fig3": (_figure3, {"rate_bits": 3.0}),
+    "fig4": (_figure4, {"k": 16, "rate_bits": 3.0}),
+    "fig5": (_figure5, {"k": 16}),
 }
 
 
@@ -474,7 +476,8 @@ def main(argv=None) -> int:
     try:
         return run(args)
     except (ConvergenceError, OverflowError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        at = "".join(f" {k}={_fmt(v)}" for k, v in getattr(exc, "point", {}).items())
+        print(f"numerical failure{' at' + at if at else ''}: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CorrelationParams
+from .channel import CorrelationParams, DegenerateCorrelationError
 from .specfun import QuadratureSpec, expx_e1, integrate_semi_infinite, marcum_q1, marcum_q1_asymptotic
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "ThresholdPolicy",
     "WidebandReport",
     "prob_some_above",
+    "conditional_pdf_vtau",
     "sum_rate",
     "sum_rate_upper",
     "sum_rate_lower",
@@ -43,6 +44,10 @@ __all__ = [
 _LOG2 = math.log(2.0)
 _3DB = 10.0 * math.log10(2.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# The conditional density's Marcum-Q factor is about exp(-alpha (1 - rho^2)) at
+# its peak and smaller toward z = 0, where marcum_q1 loses relative accuracy
+# below 1e-60: sum_rate holds 1e-12 up to this product, and is 9-25% low at 200-500.
+_MAX_ALPHA_DECORRELATION = 60.0
 
 
 @dataclass(frozen=True)
@@ -59,6 +64,8 @@ class ErgodicConfig:
             raise ValueError("power must be positive and finite")
         if not (math.isfinite(self.threshold) and self.threshold >= 0):
             raise ValueError("threshold must be nonnegative and finite")
+        if not math.isfinite(self.power * (1.0 + self.threshold)):  # log(1 + alpha P) needs it
+            raise OverflowError("power * (1 + threshold) overflows")
 
 
 @dataclass(frozen=True)
@@ -120,42 +127,67 @@ def prob_some_above(alpha: float, num_users: int):
     return float(out) if out.ndim == 0 else out
 
 
-def _rate_conditional_instantaneous(power: float, alpha: float) -> float:
-    """E[log(1 + v^2 P) | v^2 >= alpha] for instantaneous feedback.
+def conditional_pdf_vtau(z, alpha: float, c: CorrelationParams):
+    """Density of the transmission-time envelope given the feedback event v^2 >= alpha.
 
-    Closed form from integrating the truncated exponential law by parts:
-    log(1 + alpha P) + e^{alpha + 1/P} E1(alpha + 1/P).
+    f(z | v^2 >= alpha) = 2 z exp(-z^2 + alpha)
+                          * Q1(sqrt(2)|rho| z / sqrt(1-rho^2),
+                               sqrt(2 alpha) / sqrt(1-rho^2)).
+
+    Reduces bit-exactly to the unconditional Rayleigh density 2 z exp(-z^2)
+    when alpha = 0 or rho = 0.
     """
-    return math.log1p(alpha * power) + expx_e1(alpha + 1.0 / power)
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    z = np.asarray(z, dtype=float)
+    if alpha == 0.0 or c.rho == 0.0:
+        out = 2.0 * z * np.exp(-z * z)
+        return float(out) if out.ndim == 0 else out
+    if c.is_instantaneous:
+        raise DegenerateCorrelationError(
+            "conditional density requires |rho| < 1; use the truncated "
+            "Rayleigh specialization for instantaneous feedback"
+        )
+    r = c.abs_rho
+    s = math.sqrt(1.0 - r * r)
+    q = marcum_q1(math.sqrt(2.0) * r / s * z, math.sqrt(2.0 * alpha) / s)
+    # exp(alpha - z^2) Q1 <= 1: past alpha = 709, capping the exponent short of
+    # overflow lowers the product only where Q1 < e^-709, instead of giving inf * 0.
+    expo = -z * z + alpha
+    out = 2.0 * z * np.exp(expo if alpha <= 709.0 else np.minimum(expo, 709.0)) * q
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def sum_rate(cfg: ErgodicConfig, quad: QuadratureSpec | None = None) -> float:
     """Ergodic sum-rate (nats) of the 1-bit scheme with outdated feedback.
 
-    Pr(N>0) times the conditional-mean rate of the scheduled user, with the
-    conditional law of the delayed envelope expressed through the Marcum-Q
-    function.  rho = 0 and |rho| = 1 use their exact specializations.
+    Pr(N>0) times E[log(1 + P v_tau^2) | v^2 >= alpha], the integral of
+    log(1 + P z^2) against :func:`conditional_pdf_vtau`.  rho = 0 and
+    |rho| = 1 use their exact specializations.
     """
     prob = prob_some_above(cfg.threshold, cfg.num_users)
-    power = cfg.power
-    alpha = cfg.threshold
-    corr = cfg.corr
+    power, alpha, corr = cfg.power, cfg.threshold, cfg.corr
     if corr.rho == 0.0:
         # Feedback and transmission-time channel are independent.
         return prob * expx_e1(1.0 / power)
     if corr.is_instantaneous:
-        return prob * _rate_conditional_instantaneous(power, alpha)
+        # The truncated exponential law integrated by parts.
+        return prob * (math.log1p(alpha * power) + expx_e1(alpha + 1.0 / power))
     r = corr.abs_rho
-    s = math.sqrt(1.0 - r * r)
-    a_scale = math.sqrt(2.0) * r / s
-    b = math.sqrt(2.0 * alpha) / s
+    if alpha * (1.0 - r * r) > _MAX_ALPHA_DECORRELATION:
+        raise OverflowError(f"alpha = {alpha:.6g} is too large at rho = {corr.rho:.6g}: the "
+                            f"rate needs alpha (1 - rho^2) <= {_MAX_ALPHA_DECORRELATION:g}")
 
     def integrand(z):
-        z = np.asarray(z, dtype=float)
-        q = marcum_q1(a_scale * z, np.full_like(z, b))
-        return np.log1p(z * z * power) * 2.0 * z * np.exp(-z * z + alpha) * q
+        return np.log1p(z * z * power) * conditional_pdf_vtau(z, alpha, corr)
 
-    return prob * integrate_semi_infinite(integrand, 0.0, quad)
+    # The Marcum-Q factor steps from 0 to 1 at z0 = sqrt(alpha)/|rho| over a
+    # width of about sqrt(1-rho^2)/(sqrt(2)|rho|), which near |rho| = 1 is
+    # narrower than a panel's node spacing: give the step panels of its own.
+    z0 = math.sqrt(alpha) / r
+    w = 8.0 * math.sqrt(1.0 - r * r) / (math.sqrt(2.0) * r)
+    edges = (z0 - w, z0 + w) if w < z0 else ()
+    return prob * integrate_semi_infinite(integrand, 0.0, quad, breakpoints=edges)
 
 
 def sum_rate_upper(cfg: ErgodicConfig) -> float:
@@ -180,8 +212,7 @@ def rate_bracket(alpha: float, corr: CorrelationParams, asymptotic: bool = False
     r = corr.abs_rho
     if r == 0.0 or alpha == 0.0:
         # Q1(0, s) = exp(-s^2/2) = exp(-alpha/(1-rho^2)); Q1(s, 0) = 1.
-        s2 = 2.0 * alpha / (1.0 - r * r)
-        return math.exp(-0.5 * s2)
+        return math.exp(-alpha / (1.0 - r * r))
     s = math.sqrt(2.0 * alpha) / math.sqrt(1.0 - r * r)
     if asymptotic:
         q_rs = marcum_q1_asymptotic(r * s, s)
@@ -220,6 +251,8 @@ def optimal_threshold(
     narrows [0, log K + 6] to a bracket of width 1e-4 and returns its
     midpoint, or exactly 0 when the maximum sits at alpha = 0.
     """
+    if num_users < 1:
+        raise ValueError("num_users must be >= 1")
     coarse = quad or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-7)
 
     def rate(alpha: float) -> float:
@@ -257,6 +290,8 @@ def wideband_metrics(alpha: float, num_users: int, corr: CorrelationParams) -> W
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     prob = prob_some_above(alpha, num_users)
+    if prob == 0.0:
+        raise OverflowError(f"alpha = {alpha:.6g}: Pr(N>0) underflows to 0; Eb/N0_min is infinite")
     r2 = corr.rho ** 2
     m2 = 1.0 + r2 * alpha
     ebn0_min = _LOG2 / (prob * m2)
@@ -327,8 +362,6 @@ def rate_at_ebn0(
 
 def multiplexing_gain_bounds(alpha: float, num_users: int, corr: CorrelationParams) -> tuple[float, float]:
     """(r_low, r_up) bounds on the high-SNR multiplexing gain."""
-    if corr.abs_rho >= 1.0 and not corr.is_instantaneous:
-        raise ValueError("|rho| must be < 1")
     r_up = prob_some_above(alpha, num_users)
     r_low = r_up * rate_bracket(alpha, corr)
     return min(r_low, r_up), r_up

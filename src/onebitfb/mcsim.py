@@ -51,6 +51,8 @@ class SimConfig:
             raise ValueError("num_users must be >= 1")
         if self.n_blocks < 1:
             raise ValueError("n_blocks must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.rate_nats is not None and not (math.isfinite(self.rate_nats) and self.rate_nats > 0):
             raise ValueError("rate_nats must be positive and finite")
         if not (math.isfinite(self.threshold) and self.threshold >= 0):
@@ -146,7 +148,8 @@ def simulate_outage(cfg: SimConfig) -> McEstimate:
         pick, n_above = _select(v, u, cfg.threshold)
         rows = np.arange(n)
         tx = np.where(n_above > 0, p1, p0)
-        achieved = np.log1p(v_tau[rows, pick] ** 2 * tx)
+        with np.errstate(over="ignore"):  # a gain times P past 1.8e308 is no outage
+            achieved = np.log1p(v_tau[rows, pick] ** 2 * tx)
         return (achieved < cfg.rate_nats).astype(float)
 
     est = _aggregate(cfg, per_block)
@@ -158,13 +161,17 @@ def simulate_outage(cfg: SimConfig) -> McEstimate:
 def simulate_avg_power(cfg: SimConfig) -> McEstimate:
     """Empirical mean transmit power over blocks."""
     p1, p0 = _resolve_powers(cfg)
+    # Sum the powers times 2^-e, which scales each rounding exactly, without overflow.
+    e = math.frexp(max(p1, p0, 1.0))[1]
+    q1, q0 = math.ldexp(p1, -e), math.ldexp(p0, -e)
 
     def per_block(rng, n):
         v, _, u = _draw_block_arrays(rng, cfg.corr.rho, n, cfg.num_users)
         _, n_above = _select(v, u, cfg.threshold)
-        return np.where(n_above > 0, p1, p0).astype(float)
+        return np.where(n_above > 0, q1, q0).astype(float)
 
-    return _aggregate(cfg, per_block)
+    est = _aggregate(cfg, per_block)
+    return McEstimate(mean=math.ldexp(est.mean, e), stderr=math.ldexp(est.stderr, e), n=est.n)
 
 
 def reference_full_csi_rate(num_users: int, power: float, n_blocks: int, seed: int) -> McEstimate:

@@ -130,6 +130,14 @@ class DmtCurve:
     points: tuple[DmtPoint, ...]
 
 
+def _snr_for(rate_nats: float) -> float:
+    """e^R - 1, the SNR that supports rate R, or an OverflowError naming the rate."""
+    try:
+        return math.expm1(rate_nats)
+    except OverflowError:
+        raise OverflowError(f"rate_nats = {rate_nats:.6g} is too large for e^R - 1") from None
+
+
 def _check_conditional(rate_nats: float, power_name: str, power: float, alpha: float,
                        all_zero: bool) -> None:
     """Reject bad arguments of an eps1/eps0 form by name; NaN fails every test.
@@ -159,7 +167,7 @@ def eps1_instant(rate_nats: float, p1: float, alpha: float) -> float:
         return 1.0
     if rate_nats <= math.log1p(p1 * alpha):
         return 0.0
-    return -math.expm1(alpha - math.expm1(rate_nats) / p1)
+    return -math.expm1(alpha - _snr_for(rate_nats) / p1)
 
 
 def eps0_instant(rate_nats: float, p0: float, alpha: float) -> float:
@@ -168,7 +176,7 @@ def eps0_instant(rate_nats: float, p0: float, alpha: float) -> float:
     if p0 == 0.0:
         return 1.0
     if rate_nats <= math.log1p(p0 * alpha):
-        return -math.expm1(-math.expm1(rate_nats) / p0) / -math.expm1(-alpha)
+        return -math.expm1(-_snr_for(rate_nats) / p0) / -math.expm1(-alpha)
     return 1.0
 
 
@@ -200,7 +208,7 @@ def zero_outage_threshold(power: float, rate_nats: float) -> float:
         raise ValueError("power must be > 0")
     if not rate_nats > 0:
         raise ValueError("rate_nats must be > 0")
-    return 2.0 * math.expm1(rate_nats) / power
+    return 2.0 * _snr_for(rate_nats) / power
 
 
 def power_split_longterm(power: float, alpha: float, num_users: int) -> tuple[float, float]:
@@ -226,7 +234,7 @@ def outage_longterm_closed(power: float, num_users: int, rate_nats: float) -> fl
     """
     if power <= 0 or num_users < 1 or rate_nats <= 0:
         raise ValueError("need power > 0, num_users >= 1, rate > 0")
-    c = math.expm1(rate_nats)
+    c = _snr_for(rate_nats)
     base = -math.expm1(-2.0 * c / power)
     return base ** (num_users - 1) * -math.expm1(-2.0 * c * base ** num_users / power)
 
@@ -246,12 +254,15 @@ def eps1_outdated(rate_nats: float, p1: float, alpha: float, corr: CorrelationPa
     if corr.is_instantaneous:
         return eps1_instant(rate_nats, p1, alpha)
     if corr.rho == 0.0:
-        return -math.expm1(-math.expm1(rate_nats) / p1)
+        return -math.expm1(-_snr_for(rate_nats) / p1)
     omr2 = 1.0 - corr.rho ** 2
     r = corr.abs_rho
-    a = math.sqrt(2.0 * math.expm1(rate_nats) / omr2 / p1)
+    c = _snr_for(rate_nats)
+    a = math.sqrt(2.0 * c / omr2 / p1)
     sb = math.sqrt(2.0 * alpha / omr2)
-    val = marcum_q1(a, r * sb) - math.exp(alpha - math.expm1(rate_nats) / p1) * marcum_q1(r * a, sb)
+    # e^{alpha - c/P1} Q1 <= 1, so the exponential overflows only where Q1 underflows.
+    q = marcum_q1(r * a, sb)
+    val = marcum_q1(a, r * sb) - (math.exp(alpha - c / p1) * q if q > 0.0 else 0.0)
     return min(max(val, 0.0), 1.0)
 
 
@@ -263,12 +274,13 @@ def eps0_outdated(rate_nats: float, p0: float, alpha: float, corr: CorrelationPa
     if corr.is_instantaneous:
         return eps0_instant(rate_nats, p0, alpha)
     if corr.rho == 0.0:
-        return -math.expm1(-math.expm1(rate_nats) / p0)
+        return -math.expm1(-_snr_for(rate_nats) / p0)
     omr2 = 1.0 - corr.rho ** 2
     r = corr.abs_rho
-    a = math.sqrt(2.0 * math.expm1(rate_nats) / omr2 / p0)
+    c = _snr_for(rate_nats)
+    a = math.sqrt(2.0 * c / omr2 / p0)
     sb = math.sqrt(2.0 * alpha / omr2)
-    ecr = math.exp(-math.expm1(rate_nats) / p0)
+    ecr = math.exp(-c / p0)
     val = (
         1.0
         - ecr
@@ -300,11 +312,8 @@ def dmt_analytic(scheme: str, num_users: int, n_points: int = 11) -> DmtCurve:
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
     d0 = _dmt_intercept(scheme, num_users)
-    pts = []
-    for i in range(n_points):
-        r = i / (n_points - 1)
-        pts.append(DmtPoint(r=r, d=d0 * max(0.0, 1.0 - r)))
-    return DmtCurve(scheme=scheme, points=tuple(pts))
+    rs = [i / (n_points - 1) for i in range(n_points)]
+    return DmtCurve(scheme, tuple(DmtPoint(r, d0 * max(0.0, 1.0 - r)) for r in rs))
 
 
 def dmt_empirical_slope(eps_fn, r: float, p_lo: float, p_hi: float) -> float:
@@ -339,4 +348,4 @@ def default_threshold(mode: PowerMode, power: float, rate_nats: float) -> float:
         raise ValueError("p1 must be > 0 to derive a zero-outage threshold")
     if not rate_nats > 0:
         raise ValueError("rate_nats must be > 0")
-    return math.expm1(rate_nats) / p1
+    return _snr_for(rate_nats) / p1

@@ -59,44 +59,19 @@ class ConvergenceError(RuntimeError):
 def expx_e1(x):
     """Stable ``exp(x) * E1(x)`` for x > 0.
 
-    Direct evaluation overflows for large x; the continued fraction
-    E1(x) = e^{-x} / (x + 1/(1 + 1/(x + 2/(1 + ...)))) is used there.
+    ``exp(x) * exp1(x)`` up to x = 50; above it, where exp overflows by
+    x = 710, scipy's ``hyperu(1, 1, x)``, which equals e^x E1(x) (DLMF
+    6.11.2).  Below 50, hyperu is good only to about 2e-11.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValueError("expx_e1 requires x > 0")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     out = np.empty_like(x)
+    # Masked rather than np.where: exp(x) * exp1(x) is inf * 0 past x = 709.
     small = x <= 50.0
     out[small] = np.exp(x[small]) * sc.exp1(x[small])
-    if np.any(~small):
-        out[~small] = np.array([_expx_e1_cf(v) for v in x[~small]])
-    return float(out[0]) if scalar else out
-
-
-def _expx_e1_cf(x: float) -> float:
-    # Modified Lentz evaluation of the standard continued fraction for E1.
-    tiny = 1e-300
-    b = x + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        an = -(i * i)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h
+    out[~small] = sc.hyperu(1.0, 1.0, x[~small])
+    return float(out) if out.ndim == 0 else out
 
 
 def marcum_q1(a, b):
@@ -125,9 +100,8 @@ def marcum_q1(a, b):
     stops converging once max(a, b) passes about 2e5; that raises
     OverflowError rather than return NaN.
     """
-    a_arr, b_arr = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    )
+    # Left to ufunc broadcasting: np.broadcast_arrays costs about 5 us a call.
+    a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not (np.all(np.isfinite(a_arr)) and np.all(np.isfinite(b_arr))):
         raise ValueError("marcum_q1 requires finite arguments")
     if np.any(a_arr < 0) or np.any(b_arr < 0):
@@ -181,11 +155,7 @@ def marcum_q1_bounds(a, b):
         raise ValueError("marcum_q1_bounds requires nonnegative arguments")
     e_minus = np.exp(-0.5 * (b_arr - a_arr) ** 2)
     e_plus = np.exp(-0.5 * (b_arr + a_arr) ** 2)
-    lower = np.where(
-        a_arr < b_arr,
-        e_plus,
-        np.where(b_arr < a_arr, 1.0 - 0.5 * (e_minus - e_plus), e_plus),
-    )
+    lower = np.where(b_arr < a_arr, 1.0 - 0.5 * (e_minus - e_plus), e_plus)
     upper = np.where(a_arr < b_arr, e_minus, 1.0)
     if a_arr.ndim == 0:
         return float(lower), float(upper)
@@ -229,24 +199,31 @@ def _gk15(f: Callable, lo: float, hi: float):
     return ik, err
 
 
-def integrate_semi_infinite(f, lower, spec: QuadratureSpec | None = None):
+def integrate_semi_infinite(f, lower, spec: QuadratureSpec | None = None, breakpoints=()):
     """Integrate ``f`` over [lower, inf) for sub-Gaussian-tailed integrands.
 
-    ``f`` must accept numpy arrays.  The domain is extended in doubling
-    segments until a segment contributes less than ``tail_cutoff_tol`` in
-    magnitude (twice in a row), then the finite interval is refined by
-    adaptive bisection with the 15-point Kronrod rule per panel.
+    ``f`` must accept numpy arrays.  Each of the ascending ``breakpoints``
+    above the current lower end closes one panel there, so a feature
+    narrower than a panel's node spacing gets panel edges of its own.  From
+    the last of them the domain is extended in doubling segments until a
+    segment contributes less than ``tail_cutoff_tol`` in magnitude (twice
+    in a row), then the finite interval is refined by adaptive bisection
+    with the 15-point Kronrod rule per panel.
 
     Raises :class:`ConvergenceError` (carrying the best estimate) if the
     subdivision budget is exhausted before the tolerances are met.
     """
-    if spec is None:
-        spec = QuadratureSpec()
+    spec = spec or QuadratureSpec()
     lower = float(lower)
 
-    # Grow the upper cutoff until the tail is negligible.
-    panels = []  # (neg_err, lo, hi, value, err)
+    panels = []  # (lo, hi, value, err)
     seg_lo = lower
+    for bp in breakpoints:
+        if bp > seg_lo:
+            panels.append((seg_lo, bp, *_gk15(f, seg_lo, bp)))
+            seg_lo = bp
+
+    # Grow the upper cutoff until the tail is negligible.
     seg_len = 4.0
     quiet = 0
     while quiet < 2:

@@ -8,10 +8,10 @@ from onebitfb.channel import (
     CorrelationParams,
     DegenerateCorrelationError,
     JakesParams,
-    conditional_pdf_vtau,
     joint_pdf,
     rho_from_jakes,
 )
+from onebitfb.ergodic import conditional_pdf_vtau
 from onebitfb.mcsim import _draw_block_arrays
 
 
@@ -63,6 +63,27 @@ class TestDensities:
                 lambda z: float(conditional_pdf_vtau(z, alpha, c)), 0.0, 10.0
             )
             assert val == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 0.99])
+    def test_conditional_pdf_is_joint_pdf_marginal(self, rho):
+        # f(z | v^2 >= alpha) = e^alpha * int_{sqrt(alpha)}^inf f(v, z) dv,
+        # integrated here from the I0 form of the joint density.
+        c = CorrelationParams(rho)
+        width = math.sqrt(1.0 - rho * rho)
+        for alpha in (0.3, 1.5, 4.0):
+            lo = math.sqrt(alpha)
+            for z in np.linspace(0.05, lo / rho + 6.0 * width, 40):
+                got = conditional_pdf_vtau(z, alpha, c)
+                if got <= 1e-10:
+                    continue
+                # joint_pdf peaks near v = z / rho; split the v range there.
+                cuts = [lo] + [v for v in (z / rho,) if v > lo] + [lo + z / rho + 12.0]
+                want = math.exp(alpha) * sum(
+                    integrate.quad(lambda v: joint_pdf(v, z, c), a, b,
+                                   epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                    for a, b in zip(cuts, cuts[1:])
+                )
+                assert got == pytest.approx(want, rel=1e-12), (alpha, z)
 
     def test_conditional_pdf_alpha_zero_is_rayleigh(self):
         c = CorrelationParams(0.8)

@@ -1,14 +1,22 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onebitfb
+from onebitfb import cli
 from onebitfb.cli import main
+from onebitfb.outage import outage_longterm_closed
 
 
 def run(capsys, *argv):
@@ -247,6 +255,17 @@ class TestRejectedInputs:
         assert code == 2
         assert flag in err
 
+    def test_figure_honours_k_one(self, capsys, tmp_path):
+        out = str(tmp_path / "f.csv")
+        assert exit_status(capsys, "figure", "fig5", "--k", "1", "--out", out)[0] == 0
+        _, rows = parse_csv((tmp_path / "f_longterm_1bit.csv").read_text())
+        assert float(rows[0]["d"]) == 2.0  # d(0) = 2K
+        assert exit_status(capsys, "figure", "fig4", "--k", "1", "--out", out)[0] == 0
+        _, rows = parse_csv((tmp_path / "f_rho1.0.csv").read_text())
+        at_20db = next(r for r in rows if float(r["snr_db"]) == 20.0)
+        want = outage_longterm_closed(100.0, 1, 3.0 * math.log(2.0))
+        assert float(at_20db["eps"]) == pytest.approx(want, rel=1e-9)
+
     def test_figure_reads_its_own_flags(self, capsys, tmp_path):
         out = str(tmp_path / "f5.csv")
         assert exit_status(capsys, "figure", "fig5", "--k", "4", "--seed", "1",
@@ -258,6 +277,45 @@ class TestRejectedInputs:
                                 "--snr-db", "99")
         assert code == 2
         assert "--snr-db" in err
+
+    @pytest.mark.parametrize("alpha", ["705", "709", "710", "745", "760", "1e6"])
+    def test_large_fixed_alpha_is_a_named_failure(self, capsys, alpha):
+        # alpha (1 - rho^2) > 60: the Marcum-Q factor of the conditional
+        # density is below what chndtr resolves where the density lives.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = exit_status(capsys, "ergodic", "--k", "4", "--rho", "0.5",
+                                    "--alpha", alpha)
+        assert code == 3
+        assert "alpha" in err
+
+    @pytest.mark.parametrize(
+        "argv,code,name",
+        [
+            (("ergodic", "--k", "0", "--rho", "0.5"), 2, "num_users"),
+            (("outage", "--k", "4", "--rho", "0.5", "--rate-bits", "1e6"), 3, "rate_nats"),
+            (("figure", "fig4", "--k", "1", "--rate-bits", "0"), 2, "rate_nats"),
+            (("simulate", "--k", "4", "--seed", "-1", "--n-blocks", "10"), 2, "seed"),
+            (("ergodic", "--k", "4", "--sweep", "snr-db=0:inf:3"), 2, "--sweep"),
+            (("ergodic", "--alpha", "1", "--snr-db", "nan", "--sweep", "snr-db=0:10:2"), 2,
+             "snr_db"),
+            (("wideband", "--k", "16", "--alpha", "1e300"), 3, "alpha"),
+            (("ergodic", "--alpha", "1e300", "--snr-db", "300"), 3, "threshold"),
+        ],
+    )
+    def test_messages_name_the_argument(self, capsys, argv, code, name):
+        got, err = exit_status(capsys, *argv)
+        assert got == code
+        assert name in err
+
+    def test_huge_outage_threshold_is_finite(self, capsys):
+        # v^2 >= 1e300: no outage on "1" blocks, and eps0 is the SISO outage.
+        code, out, _ = run(capsys, "outage", "--k", "4", "--rho", "0.5", "--rate-bits", "1",
+                           "--alpha", "1e300")
+        assert code == 0
+        row = parse_csv(out)[1][0]
+        assert float(row["eps1"]) == 0.0
+        assert float(row["eps0"]) == pytest.approx(-math.expm1(-1.0 / 50.0), rel=1e-12)
 
     @pytest.mark.parametrize("k", ["5000", "1000000"])
     def test_unbounded_p0_is_a_numerical_failure(self, capsys, k):
@@ -284,3 +342,87 @@ print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.module
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=env)
     assert done.stdout.strip() == "[]"
+
+
+# CLI fuzz: argv built from cli._FLAGS, each flag with extremes of its valid
+# range and a few invalid values.  simulate takes K from its own short list,
+# since its arrays grow with K times --n-blocks; fig1, fig2 (tens of seconds
+# each) and large --n-blocks are left out.
+_FUZZ_VALUES = {
+    "k": ["0", "1", "2", "16", "1000000", "1000000000000"],
+    "snr-db": ["-300", "-60", "0", "20", "60", "300", "nan"],
+    "rho": ["-1", "-0.5", "0", "0.5", "0.9", "0.999999998", "1", "1.5"],
+    "doppler-hz": ["0", "50", "1e300", "-1"],
+    "delay-s": ["0", "0.001", "1e300", "inf"],
+    "alpha": ["optimal", "suboptimal:1", "suboptimal:1e300", "0", "1", "705", "1e300", "-1"],
+    "rate-bits": ["1e-300", "1", "3", "1e6", "0"],
+    "rate-nats": ["1e-300", "1", "1e6", "nan"],
+    "power-mode": ["long-term", "short-term", "explicit:10,40", "explicit:0,0",
+                   "explicit:1e308,1e308", "explicit:1"],
+    "seed": ["0", "5", "99999999999999999999", "-1"],
+    "scheme": ["longterm_1bit", "outdated", "p2p_1bit", "x"],
+    "format": ["csv", "json"],
+    "n-blocks": ["0", "1", "200"],
+}
+_SIMULATE_K = ["0", "1", "4"]
+_SWEEP_ENDS = ["-1", "0", "1e-300", "1", "20", "1e300", "inf"]
+_SWEEP_NAMES = ["k", "snr-db", "rho", "rate-nats", "x"]
+# What an error message may name: a flag, or the field it sets.
+_NAMES = [f"--{f}" for f in cli._FLAGS] + [
+    "num_users", "power", "rho", "alpha", "threshold", "rate_nats", "P0", "n_blocks", "seed",
+    "delta", "doppler_hz", "delay_s", "k=", "snr_db",
+]
+
+
+def _own_flags(command):
+    if command.startswith("figure"):
+        return [f.replace("_", "-") for f in cli._FIGURES[command.split()[1]][1]] + ["seed"]
+    return [f for f in cli._COMMANDS[command].flags if f != "n-blocks"]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["ergodic", "wideband", "outage", "dmt", "simulate",
+                                    "figure fig3", "figure fig4", "figure fig5"]))
+    simulate = command == "simulate"
+    argv = command.split()
+    flags = _own_flags(command) + ["format"]
+    if command == "outage" and draw(st.booleans()):  # most outage runs need a rate
+        flags.remove("rate-bits")
+        argv += ["--rate-bits", draw(st.sampled_from(_FUZZ_VALUES["rate-bits"]))]
+    if draw(st.integers(0, 9)) == 0:  # now and then a flag the command does not read
+        flags.append(draw(st.sampled_from([f for f in _FUZZ_VALUES if f not in flags])))
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=5, unique=True)):
+        if flag == "sweep":
+            name = draw(st.sampled_from([n for n in _SWEEP_NAMES if not (simulate and n == "k")]))
+            start, stop = draw(st.lists(st.sampled_from(_SWEEP_ENDS), min_size=2, max_size=2))
+            points = draw(st.sampled_from(["3", "1", "0"]))
+            value = f"{name}={start}:{stop}:{points}" + draw(st.sampled_from(["", ":log"]))
+        elif simulate and flag == "k":
+            value = draw(st.sampled_from(_SIMULATE_K))
+        else:
+            value = draw(st.sampled_from(_FUZZ_VALUES[flag]))
+        argv += [f"--{flag}", value]
+    if simulate:
+        argv += ["--n-blocks", draw(st.sampled_from(_FUZZ_VALUES["n-blocks"]))]
+    return argv
+
+
+@settings(max_examples=150)
+@given(_argv())
+def test_cli_fuzz(argv):
+    """Exit 0, 2 or 3, warnings as errors; no NaN printed; every error names its argument."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), err
+    if code == 0:
+        assert "nan" not in re.split(r"[^a-z0-9.+-]+", out.lower())
+    else:
+        assert any(name in err for name in _NAMES), err

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from onebitfb.channel import CorrelationParams
 from onebitfb.ergodic import (
@@ -24,7 +25,7 @@ from onebitfb.ergodic import (
     sum_rate_upper,
     wideband_metrics,
 )
-from onebitfb.specfun import QuadratureSpec, expx_e1
+from onebitfb.specfun import QuadratureSpec, expx_e1, marcum_q1
 
 LOG2 = math.log(2.0)
 
@@ -66,6 +67,54 @@ class TestSumRate:
         near = ErgodicConfig(8, 50.0, CorrelationParams(1.0 - 1e-7), 1.2)
         assert sum_rate(near) == pytest.approx(sum_rate(base), abs=1e-3)
 
+    @pytest.mark.parametrize("one_minus_rho", [1e-7, 1e-8])
+    def test_marcum_step_near_rho_one(self, one_minus_rho):
+        # The Marcum-Q factor steps at z0 = sqrt(alpha)/rho over a width of
+        # about sqrt(1 - rho^2); scipy's quad is split around it.
+        k, power, alpha, rho = 4, 10.0, 1.0, 1.0 - one_minus_rho
+        s = math.sqrt(1.0 - rho * rho)
+
+        def f(z):
+            q = marcum_q1(math.sqrt(2.0) * rho / s * z, math.sqrt(2.0 * alpha) / s)
+            return math.log1p(power * z * z) * 2.0 * z * math.exp(alpha - z * z) * q
+
+        z0 = math.sqrt(alpha) / rho
+        cuts = [0.0, z0 - 40.0 * s, z0, z0 + 40.0 * s, 12.0]
+        want = prob_some_above(alpha, k) * sum(
+            integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+            for a, b in zip(cuts, cuts[1:])
+        )
+        got = sum_rate(ErgodicConfig(k, power, CorrelationParams(rho), alpha), TIGHT)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("rho,alpha", [(0.9, 300.0), (0.5, 79.0)])
+    def test_large_alpha_matches_rician_mixture(self, rho, alpha):
+        # Given v^2 = alpha + t, t ~ Exp(1), v_tau is Rician with
+        # nu = rho sqrt(alpha + t) and sigma^2 = (1 - rho^2)/2.
+        power, var = 100.0, (1.0 - rho * rho) / 2.0
+
+        def given_t(t):
+            nu = rho * math.sqrt(alpha + t)
+
+            def f(z):
+                return (math.log1p(power * z * z) * z / var
+                        * math.exp(-(z - nu) ** 2 / (2.0 * var)) * special.i0e(z * nu / var))
+
+            sd = math.sqrt(var)
+            return integrate.quad(f, max(0.0, nu - 40.0 * sd), nu + 40.0 * sd, points=[nu],
+                                  epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        want = integrate.quad(lambda t: math.exp(-t) * given_t(t), 0.0, 60.0,
+                              epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        cfg = ErgodicConfig(4, power, CorrelationParams(rho), alpha)
+        assert sum_rate(cfg, TIGHT) / prob_some_above(alpha, 4) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [81.0, 709.0, 1e6])
+    def test_alpha_past_marcum_reach_is_named(self, alpha):
+        # alpha (1 - rho^2) > 60 at rho = 0.5.
+        with pytest.raises(OverflowError, match="alpha"):
+            sum_rate(ErgodicConfig(4, 100.0, CorrelationParams(0.5), alpha))
+
     def test_alpha_zero_single_user_is_no_csi(self):
         for rho in (0.0, 0.5, 1.0):
             cfg = ErgodicConfig(1, 20.0, CorrelationParams(rho), 0.0)
@@ -86,6 +135,9 @@ class TestSumRate:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="threshold"):
                 ErgodicConfig(1, 10.0, CorrelationParams(0.5), bad)
+        # alpha P overflows inside log(1 + alpha P), and 0 * inf is NaN.
+        with pytest.raises(OverflowError, match="threshold"):
+            ErgodicConfig(1, 1e30, CorrelationParams(1.0), 1e300)
 
 
 class TestBounds:
@@ -149,6 +201,10 @@ class TestThresholds:
         grid_best = max(rate(a) for a in np.arange(0.0, math.log(k) + 6.0 + 1e-9, 0.05))
         assert rate(optimal_threshold(k, 100.0, c)) >= grid_best * (1.0 - 1e-9)
 
+    def test_optimal_names_num_users(self):
+        with pytest.raises(ValueError, match="num_users"):
+            optimal_threshold(0, 10.0, CorrelationParams(0.5))
+
     def test_policy_resolution(self):
         c = CorrelationParams(0.9)
         assert ThresholdPolicy("fixed", 1.25).resolve(8, 10.0, c) == 1.25
@@ -202,6 +258,10 @@ class TestWideband:
     def test_inversion_rejects_nan_target(self):
         with pytest.raises(ValueError, match="ebn0_db"):
             rate_at_ebn0(math.nan, 4, CorrelationParams(0.9), 0.8)
+
+    def test_vanishing_transmit_probability_is_named(self):
+        with pytest.raises(OverflowError, match="alpha"):
+            wideband_metrics(1e300, 16, CorrelationParams(0.5))
 
     def test_below_minimum_rate_is_zero(self):
         wb = wideband_metrics(0.0, 1, CorrelationParams(0.0))

@@ -129,6 +129,17 @@ class TestPowerAccounting:
         est = simulate_avg_power(_cfg(mode=PowerMode.short_term(), n_blocks=1000))
         assert est.mean == 10.0 and est.stderr == 0.0
 
+    def test_powers_near_float_max(self):
+        # 1000 blocks of 1e308 overflow a plain sum; each gain times 1e308
+        # overflows too, and the rate it stands for is no outage.
+        cfg = _cfg(mode=PowerMode.explicit(1e308, 1e308), rate_nats=1.0, n_blocks=1000)
+        assert simulate_avg_power(cfg).mean == pytest.approx(1e308, rel=1e-15)
+        assert simulate_outage(cfg).mean < 0.01
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="seed"):
+            _cfg(seed=-1)
+
 
 class TestBlockRecords:
     """Per-block accounting, rebuilt by hand from the stream the estimators consume."""

@@ -258,3 +258,26 @@ class TestValidation:
     def test_nan_rate_rejected(self, evaluate):
         with pytest.raises(ValueError, match="rate_nats"):
             evaluate(math.nan)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            pytest.param(lambda r: eps1_instant(r, 1.0, 0.5), id="eps1_instant"),
+            pytest.param(lambda r: eps1_outdated(r, 1.0, 0.5, CorrelationParams(0.5)),
+                         id="eps1_outdated"),
+            pytest.param(lambda r: eps0_outdated(r, 1.0, 0.5, CorrelationParams(0.5)),
+                         id="eps0_outdated"),
+            pytest.param(lambda r: zero_outage_threshold(10.0, r), id="zero_outage_threshold"),
+            pytest.param(lambda r: default_threshold(PowerMode.short_term(), 10.0, r),
+                         id="default_threshold"),
+        ],
+    )
+    def test_rate_past_exp_range_is_named(self, evaluate):
+        # e^R - 1 overflows past R = 709.78 nats.
+        with pytest.raises(OverflowError, match="rate_nats"):
+            evaluate(1e6 * math.log(2.0))
+
+    def test_huge_threshold_leaves_no_outage_on_one(self):
+        # v^2 >= 1e300 puts v_tau near rho 1e150: no outage at one bit.  The
+        # e^{alpha - c/P1} factor overflows but multiplies a Q1 of 0.
+        assert eps1_outdated(math.log(2.0), 50.0, 1e300, CorrelationParams(0.5)) == 0.0

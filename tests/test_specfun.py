@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -132,6 +133,14 @@ class TestScalars:
     def test_expx_e1_goldens(self, x, want):
         assert expx_e1(x) == pytest.approx(want, rel=1e-13)
 
+    def test_expx_e1_matches_mpmath_above_switch(self):
+        # The hyperu branch, batched, against 40-digit e^x E1(x).
+        x = np.geomspace(50.0, 1e12, 300)[1:]
+        got = expx_e1(x)
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.exp(v) * mpmath.e1(v)) for v in x])
+        assert np.max(np.abs(got / want - 1.0)) <= 2e-15
+
     def test_expx_e1_continuous_at_switch(self):
         lo = expx_e1(50.0 - 1e-9)
         hi = expx_e1(50.0 + 1e-9)
@@ -156,6 +165,25 @@ class TestQuadrature:
             lambda x: x * x * np.exp(-x * x / 2) / math.sqrt(2 * math.pi), 0.0
         )
         assert val == pytest.approx(0.5, rel=1e-9)
+
+    def test_breakpoints_resolve_a_narrow_step(self):
+        # A step 1e-9 wide just past x = 1, where bisecting [0, 4] puts a
+        # panel edge: no node of [1, 2] lands before the step, so without a
+        # panel of its own the integral is 2e-7 too high.
+        c = 1.0 + 1e-7
+
+        def f(x):
+            return 2 * x * np.exp(-x * x) * special.ndtr((x - c) / 1e-9)
+
+        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-12, tail_cutoff_tol=1e-18)
+        got = integrate_semi_infinite(f, 0.0, spec, breakpoints=(c - 1e-8, c + 1e-8))
+        assert got == pytest.approx(math.exp(-c * c), rel=1e-12)
+
+    def test_breakpoints_below_lower_are_skipped(self):
+        f = lambda x: 2 * x * np.exp(-x * x)  # noqa: E731
+        assert integrate_semi_infinite(f, 1.0, breakpoints=(0.5, 1.0, 1.5)) == pytest.approx(
+            math.exp(-1.0), rel=1e-10
+        )
 
     def test_convergence_error_carries_estimate(self):
         spec = QuadratureSpec(
