@@ -6,7 +6,8 @@ written as CSV (one ``#`` metadata line, header row, data rows) or JSON
 linear power internally; rates are accepted in bits or nats and reported in
 both.  All randomness derives from --seed.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.
+Exit codes: 0 success (or stdout closed by its reader), 2 usage error, 3
+numerical failure.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -47,6 +49,7 @@ def _write_table(path, fmt, meta: dict, columns: list[str], rows: list[dict]):
         text = "\n".join(lines) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe raises here, inside main
     else:
         with open(path, "w") as fh:
             fh.write(text)
@@ -283,12 +286,8 @@ def _simulate_rows(args, pt):
             "rate_stderr": est.stderr,
         }
     else:
-        est = mcsim.simulate_outage(cfg)
-        stats = {
-            "eps_mean": est.mean,
-            "eps_stderr": est.stderr,
-            "avg_power": mcsim.simulate_avg_power(cfg).mean,
-        }
+        est, power = mcsim._outage_and_power(cfg)
+        stats = {"eps_mean": est.mean, "eps_stderr": est.stderr, "avg_power": power.mean}
     yield {**pt, "alpha": alpha, **stats, "n_blocks": est.n, "seed": args.seed}
 
 
@@ -482,6 +481,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): stop quietly, and point stdout
+        # at devnull so the flush at interpreter exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

@@ -1,15 +1,19 @@
 """Monte-Carlo simulator of the threshold-feedback scheduling protocol.
 
-Per fading block: each of K users compares its estimation-time channel power
-with the threshold and feeds back one bit; the base station picks uniformly
-among the "1" users (or among all users when none qualify), assigns the
-mode-dependent power, and the achieved log-rate / outage flag is recorded
-against the transmission-time envelope.
+Per fading block each of K users feeds back whether its estimation-time power
+v^2 = |h|^2 is at least alpha; the base station picks uniformly among the N
+"1" users (among all K when N = 0), assigns the mode-dependent power, and
+records the rate or outage against the transmission-time envelope v_tau.
 
-This simulator is the independent oracle for every closed form in the
-package.  Blocks are i.i.d.; trials are partitioned into fixed-size chunks,
-each driven by a generator seeded from (seed, chunk index), so results are
-bit-identical for a given config regardless of execution order.
+Per block it draws only what the protocol reads: K exponential gains, one
+uniform for the pick and two normals for the chosen user's v_tau.  As the
+oracle for every closed form it stays a literal simulation: N is counted from
+the K gains, never drawn as Binomial(K, e^-alpha) with v^2 = alpha + Exp(1),
+which would repeat the closed forms' own derivation.
+
+Blocks are i.i.d.; trials are partitioned into fixed-size chunks, each driven
+by a generator seeded from (seed, chunk index), so results are bit-identical
+for a given config regardless of execution order.
 """
 
 from __future__ import annotations
@@ -75,103 +79,93 @@ def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
     return np.random.default_rng([seed, chunk_idx])
 
 
-def _draw_block_arrays(rng, rho: float, n: int, k: int):
-    """Envelope pairs (n, k) plus the uniform keys used for random selection."""
-    g = rng.standard_normal((4, n, k)) * math.sqrt(0.5)
-    h = g[0] + 1j * g[1]
-    h_tau = rho * h + math.sqrt(max(0.0, 1.0 - rho * rho)) * (g[2] + 1j * g[3])
-    u = rng.random((n, k))
-    return np.abs(h), np.abs(h_tau), u
+def _draw_blocks(rng, rho: float, n: int, k: int, alpha: float):
+    """The scheduled user's envelopes (v, v_tau) and N, the count of "1" bits, per block.
 
-def _select(v: np.ndarray, u: np.ndarray, alpha: float):
-    """Uniform random pick among qualified users (or among all when none).
-
-    Returns (column index per block, N per block).  Keys from ``u`` make the
-    choice uniform: the argmax of u restricted to qualified users.
+    Draws K gains |h|^2 ~ Exp(1), one uniform and two normals per block, in
+    that order.  The pick is the floor(u M)-th of the M candidates: the N
+    users with v^2 >= alpha, or all K when N = 0.  The phase of h is
+    independent of |h| and w is circular, so |h_tau| = |rho h + s w| has the
+    law of |(|rho| v + s w1) + j s w2|, with w1, w2 ~ N(0, 1/2).
     """
-    qualified = v * v >= alpha
+    g = rng.standard_exponential((n, k))
+    qualified = g >= alpha
     n_above = qualified.sum(axis=1)
-    any_above = n_above > 0
-    keys = np.where(qualified, u, -1.0)
-    pick_qualified = np.argmax(keys, axis=1)
-    pick_any = np.argmax(u, axis=1)
-    return np.where(any_above, pick_qualified, pick_any), n_above
+    m = np.where(n_above > 0, n_above, k)
+    target = np.minimum((rng.random(n) * m).astype(np.int64), m - 1)
+    # Flat indices of every block's candidates, block by block: block i's start at sum(m[:i]).
+    candidates = np.flatnonzero(qualified | (n_above == 0)[:, None])
+    v = np.sqrt(g.ravel()[candidates[np.cumsum(m) - m + target]])
+    s = math.sqrt(max(0.0, 1.0 - rho * rho))
+    w = rng.standard_normal((2, n)) * math.sqrt(0.5)
+    return v, np.hypot(abs(rho) * v + s * w[0], s * w[1]), n_above
 
 
-def _aggregate(cfg: SimConfig, per_block):
-    """Stream chunks through ``per_block`` and reduce to an McEstimate."""
-    total = 0.0
-    total_sq = 0.0
+def _aggregate(cfg: SimConfig, per_block) -> list[McEstimate]:
+    """Stream chunks through ``per_block`` and reduce each row it returns to an McEstimate."""
+    total = total_sq = 0.0
     n_done = 0
     chunk_idx = 0
     while n_done < cfg.n_blocks:
         n = min(_CHUNK, cfg.n_blocks - n_done)
         rng = _chunk_rng(cfg.seed, chunk_idx)
-        x = per_block(rng, n)
-        total += float(x.sum())
-        total_sq += float((x * x).sum())
+        x = np.array(per_block(rng, n), dtype=float, ndmin=2)
+        total += x.sum(axis=1)
+        total_sq += (x * x).sum(axis=1)
         n_done += n
         chunk_idx += 1
     mean = total / cfg.n_blocks
-    var = max(total_sq / cfg.n_blocks - mean * mean, 0.0)
-    stderr = math.sqrt(var / cfg.n_blocks)
-    return McEstimate(mean=mean, stderr=stderr, n=cfg.n_blocks)
+    stderr = np.sqrt(np.maximum(total_sq / cfg.n_blocks - mean * mean, 0.0) / cfg.n_blocks)
+    return [McEstimate(float(m), float(se), cfg.n_blocks) for m, se in zip(mean, stderr)]
 
 
 def simulate_ergodic_rate(cfg: SimConfig) -> McEstimate:
     """Mean per-block rate (nats) under the ergodic convention P1 = P, P0 = 0."""
 
     def per_block(rng, n):
-        v, v_tau, u = _draw_block_arrays(rng, cfg.corr.rho, n, cfg.num_users)
-        pick, n_above = _select(v, u, cfg.threshold)
-        rows = np.arange(n)
-        rate = np.log1p(v_tau[rows, pick] ** 2 * cfg.power)
-        rate[n_above == 0] = 0.0  # silent block
-        return rate
+        _, v_tau, n_above = _draw_blocks(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold)
+        return np.where(n_above > 0, np.log1p(v_tau**2 * cfg.power), 0.0)  # 0: silent block
 
-    return _aggregate(cfg, per_block)
+    return _aggregate(cfg, per_block)[0]
 
 
-def _resolve_powers(cfg: SimConfig) -> tuple[float, float]:
+def _outage_and_power(cfg: SimConfig) -> tuple[McEstimate | None, McEstimate]:
+    """Outage frequency (None without ``rate_nats``) and mean transmit power, in one pass."""
     mode = cfg.mode or PowerMode.short_term()
-    return mode.resolve(cfg.power, cfg.threshold, cfg.num_users)
-
-
-def simulate_outage(cfg: SimConfig) -> McEstimate:
-    """Empirical outage frequency, with binomial standard error."""
-    if cfg.rate_nats is None or cfg.rate_nats <= 0:
-        raise ValueError("outage simulation needs rate_nats > 0")
-    p1, p0 = _resolve_powers(cfg)
-
-    def per_block(rng, n):
-        v, v_tau, u = _draw_block_arrays(rng, cfg.corr.rho, n, cfg.num_users)
-        pick, n_above = _select(v, u, cfg.threshold)
-        rows = np.arange(n)
-        tx = np.where(n_above > 0, p1, p0)
-        with np.errstate(over="ignore"):  # a gain times P past 1.8e308 is no outage
-            achieved = np.log1p(v_tau[rows, pick] ** 2 * tx)
-        return (achieved < cfg.rate_nats).astype(float)
-
-    est = _aggregate(cfg, per_block)
-    p_hat = est.mean
-    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / cfg.n_blocks)
-    return McEstimate(mean=p_hat, stderr=stderr, n=cfg.n_blocks)
-
-
-def simulate_avg_power(cfg: SimConfig) -> McEstimate:
-    """Empirical mean transmit power over blocks."""
-    p1, p0 = _resolve_powers(cfg)
+    p1, p0 = mode.resolve(cfg.power, cfg.threshold, cfg.num_users)
     # Sum the powers times 2^-e, which scales each rounding exactly, without overflow.
     e = math.frexp(max(p1, p0, 1.0))[1]
     q1, q0 = math.ldexp(p1, -e), math.ldexp(p0, -e)
 
     def per_block(rng, n):
-        v, _, u = _draw_block_arrays(rng, cfg.corr.rho, n, cfg.num_users)
-        _, n_above = _select(v, u, cfg.threshold)
-        return np.where(n_above > 0, q1, q0).astype(float)
+        _, v_tau, n_above = _draw_blocks(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold)
+        tx = n_above > 0
+        rows = [np.where(tx, q1, q0)]
+        if cfg.rate_nats is not None:
+            with np.errstate(over="ignore"):  # a gain times P past 1.8e308 is no outage
+                achieved = np.log1p(v_tau**2 * np.where(tx, p1, p0))
+            rows.append(achieved < cfg.rate_nats)
+        return rows
 
-    est = _aggregate(cfg, per_block)
-    return McEstimate(mean=math.ldexp(est.mean, e), stderr=math.ldexp(est.stderr, e), n=est.n)
+    power, *outage = _aggregate(cfg, per_block)
+    power = McEstimate(math.ldexp(power.mean, e), math.ldexp(power.stderr, e), power.n)
+    if not outage:
+        return None, power
+    p_hat = outage[0].mean
+    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / cfg.n_blocks)  # binomial
+    return McEstimate(p_hat, stderr, cfg.n_blocks), power
+
+
+def simulate_outage(cfg: SimConfig) -> McEstimate:
+    """Empirical outage frequency, with binomial standard error."""
+    if cfg.rate_nats is None:
+        raise ValueError("outage simulation needs rate_nats > 0")
+    return _outage_and_power(cfg)[0]
+
+
+def simulate_avg_power(cfg: SimConfig) -> McEstimate:
+    """Empirical mean transmit power over blocks."""
+    return _outage_and_power(cfg)[1]
 
 
 def reference_full_csi_rate(num_users: int, power: float, n_blocks: int, seed: int) -> McEstimate:
@@ -182,7 +176,7 @@ def reference_full_csi_rate(num_users: int, power: float, n_blocks: int, seed: i
         gains = rng.exponential(size=(n, cfg.num_users))
         return np.log1p(cfg.power * gains.max(axis=1))
 
-    return _aggregate(cfg, per_block)
+    return _aggregate(cfg, per_block)[0]
 
 
 def reference_no_csi_rate(power: float, n_blocks: int, seed: int) -> McEstimate:
@@ -192,4 +186,4 @@ def reference_no_csi_rate(power: float, n_blocks: int, seed: int) -> McEstimate:
     def per_block(rng, n):
         return np.log1p(cfg.power * rng.exponential(size=n))
 
-    return _aggregate(cfg, per_block)
+    return _aggregate(cfg, per_block)[0]

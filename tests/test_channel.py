@@ -12,7 +12,7 @@ from onebitfb.channel import (
     rho_from_jakes,
 )
 from onebitfb.ergodic import conditional_pdf_vtau
-from onebitfb.mcsim import _draw_block_arrays
+from onebitfb.mcsim import _draw_blocks
 
 
 class TestParams:
@@ -104,9 +104,9 @@ class TestSampling:
     """The envelope-pair sampler behind every Monte-Carlo estimate."""
 
     def test_moments(self):
+        # alpha = 0: every user sends a "1", so the scheduled user is uniform over all K
         rng = np.random.default_rng(7)
-        v, v_tau, _ = _draw_block_arrays(rng, 0.9, 100_000, 4)
-        v, v_tau = v.ravel(), v_tau.ravel()
+        v, v_tau, _ = _draw_blocks(rng, 0.9, 400_000, 4, 0.0)
         assert np.all(v >= 0) and np.all(v_tau >= 0)
         # squared envelopes are unit exponentials with corr(v^2, v_tau^2) = rho^2
         assert np.mean(v * v) == pytest.approx(1.0, abs=0.01)
@@ -116,5 +116,5 @@ class TestSampling:
 
     def test_instantaneous_pairs_identical(self):
         rng = np.random.default_rng(1)
-        v, v_tau, _ = _draw_block_arrays(rng, 1.0, 100, 4)
+        v, v_tau, _ = _draw_blocks(rng, 1.0, 100, 4, 0.0)
         np.testing.assert_allclose(v, v_tau, rtol=1e-12)

@@ -161,6 +161,23 @@ class TestOutputHandling:
         assert "f5_longterm_1bit.csv" in files
         assert len(files) == 6
 
+    @pytest.mark.parametrize("argv", [["dmt", "--k", "4"], ["figure", "fig5"]])
+    def test_closed_stdout_stops_quietly(self, argv):
+        # The pipe's read end is closed before the command starts, as after
+        # `onebitfb ... | head -2` has read its lines: no traceback, and no
+        # second error when the interpreter flushes stdout at exit.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = os.path.dirname(os.path.dirname(onebitfb.__file__))
+        try:
+            done = subprocess.run([sys.executable, "-m", "onebitfb.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.stderr == ""
+        assert done.returncode == 0
+
 
 class TestErrors:
     def test_bad_k(self, capsys):

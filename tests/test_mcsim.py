@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from onebitfb.mcsim import (
     McEstimate,
     SimConfig,
     _chunk_rng,
-    _draw_block_arrays,
-    _select,
+    _draw_blocks,
+    _outage_and_power,
     reference_full_csi_rate,
     reference_no_csi_rate,
     simulate_avg_power,
@@ -53,9 +54,8 @@ class TestDeterminism:
         rates = []
         for idx, n in enumerate((_CHUNK, cfg.n_blocks - _CHUNK)):
             rng = _chunk_rng(cfg.seed, idx)
-            v, v_tau, u = _draw_block_arrays(rng, cfg.corr.rho, n, cfg.num_users)
-            pick, n_above = _select(v, u, cfg.threshold)
-            rate = np.log1p(v_tau[np.arange(n), pick] ** 2 * cfg.power)
+            _, v_tau, n_above = _draw_blocks(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold)
+            rate = np.log1p(v_tau**2 * cfg.power)
             rates.append(np.where(n_above > 0, rate, 0.0))
         mean = float(np.concatenate(rates).mean())
         assert mean == pytest.approx(simulate_ergodic_rate(cfg).mean, rel=1e-12)
@@ -148,21 +148,100 @@ class TestBlockRecords:
         cfg = _cfg(
             n_blocks=500, rate_nats=1.5, mode=PowerMode.explicit(8.0, 2.0)
         )
-        v, v_tau, u = _draw_block_arrays(_chunk_rng(cfg.seed, 0), cfg.corr.rho, 500, 4)
-        pick, n_above = _select(v, u, cfg.threshold)
+        _, v_tau, n_above = _draw_blocks(
+            _chunk_rng(cfg.seed, 0), cfg.corr.rho, 500, 4, cfg.threshold
+        )
         assert np.all((n_above >= 0) & (n_above <= 4))
         tx_power = np.where(n_above > 0, 8.0, 2.0)
-        achieved = np.log1p(v_tau[np.arange(500), pick] ** 2 * tx_power)
+        achieved = np.log1p(v_tau**2 * tx_power)
         outage = (achieved < 1.5).astype(float)
         assert simulate_outage(cfg).mean == pytest.approx(outage.mean(), rel=1e-12)
         assert simulate_avg_power(cfg).mean == pytest.approx(tx_power.mean(), rel=1e-12)
 
+    def test_one_pass_matches_separate_calls(self):
+        # outage-mode `simulate` reads both estimates from one pass over the stream
+        mode = PowerMode.long_term()
+        eps, power = _outage_and_power(_cfg(n_blocks=70_000, rate_nats=1.5, mode=mode))
+        assert eps == simulate_outage(_cfg(n_blocks=70_000, rate_nats=1.5, mode=mode))
+        assert power == simulate_avg_power(_cfg(n_blocks=70_000, mode=mode))
+
     def test_qualified_selection(self):
-        v, _, u = _draw_block_arrays(np.random.default_rng(3), 0.9, 2000, 4)
-        pick, n_above = _select(v, u, 1.0)
-        np.testing.assert_array_equal(n_above, (v * v >= 1.0).sum(axis=1))
-        chosen = v[np.arange(2000), pick]
-        assert np.all(chosen[n_above > 0] ** 2 >= 1.0)
+        v, _, n_above = _draw_blocks(np.random.default_rng(3), 0.9, 2000, 4, 1.0)
+        gains = np.random.default_rng(3).standard_exponential((2000, 4))  # drawn first
+        np.testing.assert_array_equal(n_above, (gains >= 1.0).sum(axis=1))
+        assert np.all(v[n_above > 0] ** 2 >= 1.0)
+        # the scheduled envelope is that of one of the block's own candidates
+        qualified = (gains >= 1.0) | (n_above == 0)[:, None]
+        assert np.all(np.any((np.sqrt(gains) == v[:, None]) & qualified, axis=1))
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts the variates each method returns, by name."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.counts = Counter()
+
+    def __getattr__(self, name):
+        fn = getattr(self._gen, name)
+
+        def draw(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            self.counts[name] += np.size(out)
+            return out
+
+        return draw
+
+
+class TestSchedulingLaw:
+    """Law of N and of the scheduled gain, read off the sampler at alpha = 1."""
+
+    ALPHA = 1.0
+    BLOCKS = 200_000
+
+    def _draw(self, k, seed):
+        return _draw_blocks(np.random.default_rng(seed), 0.9, self.BLOCKS, k, self.ALPHA)
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_mean_count_of_one_bits(self, k):
+        _, _, n_above = self._draw(k, seed=k)
+        p = math.exp(-self.ALPHA)
+        assert abs(n_above.mean() - k * p) <= 4 * math.sqrt(k * p * (1 - p) / self.BLOCKS)
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_scheduled_excess_is_unit_exponential(self, k):
+        # A qualified user's v^2 - alpha is Exp(1); a pick leaning toward the
+        # strongest user raises its mean and variance.
+        v, _, n_above = self._draw(k, seed=100 + k)
+        excess = v[n_above > 0] ** 2 - self.ALPHA
+        m = excess.size
+        assert abs(excess.mean() - 1.0) <= 4 * math.sqrt(1.0 / m)
+        # the sample variance of Exp(1) has variance (mu4 - 1) / m = 8 / m
+        assert abs(excess.var() - 1.0) <= 4 * math.sqrt(8.0 / m)
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_no_one_bits_schedules_a_user_below_threshold(self, k):
+        v, _, n_above = self._draw(k, seed=200 + k)
+        assert np.any(n_above == 0)
+        assert np.all(v[n_above == 0] ** 2 < self.ALPHA)
+
+    @pytest.mark.parametrize("k", [4, 16])
+    def test_pick_is_uniform_over_users(self, k):
+        # By symmetry each user is scheduled in 1/K of the blocks; picking the
+        # first or the strongest candidate would not be.
+        v, _, _ = self._draw(k, seed=300 + k)
+        gains = np.random.default_rng(300 + k).standard_exponential((self.BLOCKS, k))
+        users = np.argmax(np.sqrt(gains) == v[:, None], axis=1)
+        share = np.bincount(users, minlength=k) / self.BLOCKS
+        se = math.sqrt((1 / k) * (1 - 1 / k) / self.BLOCKS)
+        assert np.all(np.abs(share - 1 / k) <= 4 * se)
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_draws_per_block(self, k):
+        rng = _CountingGenerator(np.random.default_rng(0))
+        _draw_blocks(rng, 0.9, 1000, k, self.ALPHA)
+        assert rng.counts == {"standard_exponential": 1000 * k, "random": 1000,
+                              "standard_normal": 2000}
 
 
 class TestReferences:
