@@ -11,7 +11,7 @@ Rates are in nats; probabilities are plain floats in [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .channel import CorrelationParams
 from .ergodic import prob_some_above
@@ -24,8 +24,6 @@ __all__ = [
     "DmtPoint",
     "DmtCurve",
     "DMT_SCHEMES",
-    "eps1_instant",
-    "eps0_instant",
     "outage_instant",
     "zero_outage_threshold",
     "power_split_longterm",
@@ -38,14 +36,16 @@ __all__ = [
     "default_threshold",
 ]
 
-DMT_SCHEMES = (
-    "longterm_1bit",
-    "shortterm_1bit",
-    "full_csi",
-    "outdated_1bit",
-    "no_csi",
-    "p2p_1bit",
-)
+# Diversity gain at multiplexing gain 0 of each scheme, d0 = a K + b, as (a, b).
+_DMT_INTERCEPTS = {
+    "longterm_1bit": (2, 0),
+    "shortterm_1bit": (1, 0),
+    "full_csi": (1, 0),
+    "outdated_1bit": (0, 1),
+    "no_csi": (0, 1),
+    "p2p_1bit": (0, 2),
+}
+DMT_SCHEMES = tuple(_DMT_INTERCEPTS)
 
 
 @dataclass(frozen=True)
@@ -156,47 +156,19 @@ def _check_conditional(rate_nats: float, power_name: str, power: float, alpha: f
         raise ValueError("alpha must be >= 0")
 
 
-def eps1_instant(rate_nats: float, p1: float, alpha: float) -> float:
-    """Outage probability given feedback "1", instantaneous CSI.
-
-    Zero whenever the qualified channel already supports the rate
-    (R <= log(1 + P1 alpha)); otherwise 1 - exp(alpha - (e^R - 1)/P1).
-    """
-    _check_conditional(rate_nats, "p1", p1, alpha, all_zero=False)
-    if p1 == 0.0:
-        return 1.0
-    if rate_nats <= math.log1p(p1 * alpha):
-        return 0.0
-    return -math.expm1(alpha - _snr_for(rate_nats) / p1)
+def _check_positive(**args: float) -> None:
+    """Reject each argument that is not positive and finite, by name; NaN fails the test."""
+    for name, value in args.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
 
 
-def eps0_instant(rate_nats: float, p0: float, alpha: float) -> float:
-    """Outage probability given feedback "0" from every user, instantaneous CSI."""
-    _check_conditional(rate_nats, "p0", p0, alpha, all_zero=True)
-    if p0 == 0.0:
-        return 1.0
-    if rate_nats <= math.log1p(p0 * alpha):
-        return -math.expm1(-_snr_for(rate_nats) / p0) / -math.expm1(-alpha)
-    return 1.0
-
-
-def _mix(cfg: OutageConfig, eps1, eps0, *corr) -> OutageReport:
-    """Total outage eps1 Pr(N>0) + eps0 (1 - Pr(N>0)) at the resolved powers.
-
-    ``eps1``/``eps0`` are called as (rate, power, alpha, *corr).  At alpha = 0,
-    Pr(N = 0) = 0 and eps0 never enters the mixture.
-    """
-    p1, p0 = cfg.mode.resolve(cfg.power, cfg.threshold, cfg.num_users)
-    e1 = eps1(cfg.rate_nats, p1, cfg.threshold, *corr)
-    e0 = eps0(cfg.rate_nats, p0, cfg.threshold, *corr) if cfg.threshold > 0 else 0.0
-    prob = prob_some_above(cfg.threshold, cfg.num_users)
-    eps = e1 * prob + e0 * (1.0 - prob)
-    return OutageReport(eps=eps, eps1=e1, eps0=e0, p1=p1, p0=p0)
-
-
-def outage_instant(cfg: OutageConfig) -> OutageReport:
-    """Total outage with instantaneous feedback: conditional terms mixed by Pr(N>0)."""
-    return _mix(cfg, eps1_instant, eps0_instant)
+def _finite_threshold(alpha: float, rate_nats: float, power_name: str, power: float) -> float:
+    """A derived zero-outage threshold, or an OverflowError naming what made it overflow."""
+    if math.isinf(alpha):
+        raise OverflowError(f"the zero-outage threshold overflows at rate_nats = {rate_nats:.6g},"
+                            f" {power_name} = {power:.6g}")
+    return alpha
 
 
 def zero_outage_threshold(power: float, rate_nats: float) -> float:
@@ -204,11 +176,8 @@ def zero_outage_threshold(power: float, rate_nats: float) -> float:
 
     alpha = 2 (e^R - 1) / P, i.e. R = log(1 + (P/2) alpha) exactly.
     """
-    if not power > 0:
-        raise ValueError("power must be > 0")
-    if not rate_nats > 0:
-        raise ValueError("rate_nats must be > 0")
-    return 2.0 * _snr_for(rate_nats) / power
+    _check_positive(power=power, rate_nats=rate_nats)
+    return _finite_threshold(2.0 * _snr_for(rate_nats) / power, rate_nats, "power", power)
 
 
 def power_split_longterm(power: float, alpha: float, num_users: int) -> tuple[float, float]:
@@ -216,10 +185,9 @@ def power_split_longterm(power: float, alpha: float, num_users: int) -> tuple[fl
 
     The implied average Pr(N>0) P1 + Pr(N=0) P0 never exceeds the budget P.
     """
-    if power <= 0 or num_users < 1:
-        raise ValueError("need power > 0 and num_users >= 1")
-    if alpha <= 0:
-        raise ValueError("P0 is unbounded at alpha = 0 (Pr(N=0) = 0)")
+    _check_positive(power=power, num_users=num_users)
+    if not alpha > 0:
+        raise ValueError("alpha must be > 0: P0 is unbounded at alpha = 0 (Pr(N=0) = 0)")
     pr_none = (-math.expm1(-alpha)) ** num_users
     p0 = 0.5 * power / pr_none if pr_none > 0.0 else math.inf
     if not math.isfinite(p0):
@@ -232,32 +200,36 @@ def outage_longterm_closed(power: float, num_users: int, rate_nats: float) -> fl
 
     eps = (1 - e^{-2c/P})^{K-1} (1 - e^{-2c (1 - e^{-2c/P})^K / P}), c = e^R - 1.
     """
-    if power <= 0 or num_users < 1 or rate_nats <= 0:
-        raise ValueError("need power > 0, num_users >= 1, rate > 0")
+    _check_positive(power=power, num_users=num_users, rate_nats=rate_nats)
     c = _snr_for(rate_nats)
     base = -math.expm1(-2.0 * c / power)
     return base ** (num_users - 1) * -math.expm1(-2.0 * c * base ** num_users / power)
 
 
 def eps1_outdated(rate_nats: float, p1: float, alpha: float, corr: CorrelationParams) -> float:
-    """Outage probability given feedback "1" with outdated CSI.
+    """Outage probability given feedback "1".
 
     Q1(sqrt(mu/P1), |rho| sqrt(nu)) - e^{alpha - (e^R-1)/P1}
     Q1(|rho| sqrt(mu/P1), sqrt(nu)), with mu = 2 (e^R - 1) / (1 - rho^2) and
-    nu = 2 alpha / (1 - rho^2).  Dispatches to the instantaneous form
-    at |rho| = 1 and collapses to the unconditional exponential outage at
-    rho = 0.
+    nu = 2 alpha / (1 - rho^2).  At |rho| = 1 (instantaneous feedback) it is
+    zero where the qualified channel supports the rate (R <= log(1 + P1
+    alpha)) and 1 - e^{alpha - (e^R - 1)/P1} otherwise; at rho = 0 it is the
+    unconditional exponential outage.
     """
     _check_conditional(rate_nats, "p1", p1, alpha, all_zero=False)
     if p1 == 0.0:
         return 1.0
     if corr.is_instantaneous:
-        return eps1_instant(rate_nats, p1, alpha)
+        if rate_nats <= math.log1p(p1 * alpha):
+            return 0.0
+        return -math.expm1(alpha - _snr_for(rate_nats) / p1)
     if corr.rho == 0.0:
         return -math.expm1(-_snr_for(rate_nats) / p1)
+    c = _snr_for(rate_nats)
+    if math.isinf(c / p1):
+        return 1.0  # the P1 -> 0 limit of the Marcum form, as at P1 = 0
     omr2 = 1.0 - corr.rho ** 2
     r = corr.abs_rho
-    c = _snr_for(rate_nats)
     a = math.sqrt(2.0 * c / omr2 / p1)
     sb = math.sqrt(2.0 * alpha / omr2)
     # e^{alpha - c/P1} Q1 <= 1, so the exponential overflows only where Q1 underflows.
@@ -267,17 +239,25 @@ def eps1_outdated(rate_nats: float, p1: float, alpha: float, corr: CorrelationPa
 
 
 def eps0_outdated(rate_nats: float, p0: float, alpha: float, corr: CorrelationParams) -> float:
-    """Outage probability given all-zero feedback with outdated CSI (mu, nu as in eps1_outdated)."""
+    """Outage probability given all-zero feedback (mu, nu as in eps1_outdated).
+
+    At |rho| = 1 it is (1 - e^{-(e^R - 1)/P0}) / (1 - e^{-alpha}) where
+    R <= log(1 + P0 alpha), and 1 above.
+    """
     _check_conditional(rate_nats, "p0", p0, alpha, all_zero=True)
     if p0 == 0.0:
         return 1.0
     if corr.is_instantaneous:
-        return eps0_instant(rate_nats, p0, alpha)
+        if rate_nats <= math.log1p(p0 * alpha):
+            return -math.expm1(-_snr_for(rate_nats) / p0) / -math.expm1(-alpha)
+        return 1.0
     if corr.rho == 0.0:
         return -math.expm1(-_snr_for(rate_nats) / p0)
+    c = _snr_for(rate_nats)
+    if math.isinf(c / p0):
+        return 1.0  # the P0 -> 0 limit of the Marcum form, as at P0 = 0
     omr2 = 1.0 - corr.rho ** 2
     r = corr.abs_rho
-    c = _snr_for(rate_nats)
     a = math.sqrt(2.0 * c / omr2 / p0)
     sb = math.sqrt(2.0 * alpha / omr2)
     ecr = math.exp(-c / p0)
@@ -291,27 +271,33 @@ def eps0_outdated(rate_nats: float, p0: float, alpha: float, corr: CorrelationPa
 
 
 def outage_outdated(cfg: OutageConfig) -> OutageReport:
-    """Total outage with outdated feedback; equals the instantaneous result at |rho| = 1."""
-    return _mix(cfg, eps1_outdated, eps0_outdated, cfg.corr)
+    """Total outage eps1 Pr(N>0) + eps0 (1 - Pr(N>0)) at the resolved powers.
+
+    At alpha = 0, Pr(N = 0) = 0 and eps0 never enters the mixture.
+    """
+    p1, p0 = cfg.mode.resolve(cfg.power, cfg.threshold, cfg.num_users)
+    e1 = eps1_outdated(cfg.rate_nats, p1, cfg.threshold, cfg.corr)
+    e0 = eps0_outdated(cfg.rate_nats, p0, cfg.threshold, cfg.corr) if cfg.threshold > 0 else 0.0
+    prob = prob_some_above(cfg.threshold, cfg.num_users)
+    eps = e1 * prob + e0 * (1.0 - prob)
+    return OutageReport(eps=eps, eps1=e1, eps0=e0, p1=p1, p0=p0)
 
 
-def _dmt_intercept(scheme: str, num_users: int) -> float:
-    if scheme == "longterm_1bit":
-        return 2.0 * num_users
-    if scheme in ("shortterm_1bit", "full_csi"):
-        return float(num_users)
-    if scheme in ("outdated_1bit", "no_csi"):
-        return 1.0
-    if scheme == "p2p_1bit":
-        return 2.0
-    raise ValueError(f"unknown DMT scheme {scheme!r}")
+def outage_instant(cfg: OutageConfig) -> OutageReport:
+    """Total outage with instantaneous feedback: ``outage_outdated`` at rho = 1."""
+    return outage_outdated(replace(cfg, corr=CorrelationParams(1.0)))
 
 
 def dmt_analytic(scheme: str, num_users: int, n_points: int = 11) -> DmtCurve:
     """Piecewise-linear DMT curve d(r) = d0 * (1 - r)^+ sampled on [0, 1]."""
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
-    d0 = _dmt_intercept(scheme, num_users)
+    if scheme not in _DMT_INTERCEPTS:
+        raise ValueError(f"unknown DMT scheme {scheme!r}")
+    if n_points < 2:
+        raise ValueError("n_points must be >= 2")
+    per_user, fixed = _DMT_INTERCEPTS[scheme]
+    d0 = float(per_user * num_users + fixed)
     rs = [i / (n_points - 1) for i in range(n_points)]
     return DmtCurve(scheme, tuple(DmtPoint(r, d0 * max(0.0, 1.0 - r)) for r in rs))
 
@@ -346,6 +332,5 @@ def default_threshold(mode: PowerMode, power: float, rate_nats: float) -> float:
     p1 = power if mode.kind == "short_term" else float(mode.p1)
     if not p1 > 0:
         raise ValueError("p1 must be > 0 to derive a zero-outage threshold")
-    if not rate_nats > 0:
-        raise ValueError("rate_nats must be > 0")
-    return _snr_for(rate_nats) / p1
+    _check_positive(rate_nats=rate_nats)
+    return _finite_threshold(_snr_for(rate_nats) / p1, rate_nats, "p1", p1)

@@ -318,6 +318,10 @@ class TestRejectedInputs:
              "snr_db"),
             (("wideband", "--k", "16", "--alpha", "1e300"), 3, "alpha"),
             (("ergodic", "--alpha", "1e300", "--snr-db", "300"), 3, "threshold"),
+            (("outage", "--k", "4", "--rho", "0.9999", "--rate-bits", "1020", "--snr-db", "-30"),
+             3, "rate_nats"),
+            (("simulate", "--k", "2", "--rho", "0.5", "--rate-bits", "1", "--power-mode",
+              "explicit:1e-320,1", "--n-blocks", "10"), 3, "rate_nats"),
         ],
     )
     def test_messages_name_the_argument(self, capsys, argv, code, name):
@@ -333,6 +337,14 @@ class TestRejectedInputs:
         row = parse_csv(out)[1][0]
         assert float(row["eps1"]) == 0.0
         assert float(row["eps0"]) == pytest.approx(-math.expm1(-1.0 / 50.0), rel=1e-12)
+
+    @pytest.mark.parametrize("powers,column", [("1e-320,1", "eps1"), ("1,1e-320", "eps0")])
+    def test_tiny_explicit_power_is_certain_outage(self, capsys, powers, column):
+        # (e^R - 1)/P overflows: the P -> 0 limit, eps = 1 for that feedback bit.
+        code, out, _ = run(capsys, "outage", "--k", "4", "--rho", "0.5", "--rate-bits", "1",
+                           "--alpha", "1", "--power-mode", f"explicit:{powers}")
+        assert code == 0
+        assert float(parse_csv(out)[1][0][column]) == 1.0
 
     @pytest.mark.parametrize("k", ["5000", "1000000"])
     def test_unbounded_p0_is_a_numerical_failure(self, capsys, k):

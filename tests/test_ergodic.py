@@ -67,6 +67,17 @@ class TestSumRate:
         near = ErgodicConfig(8, 50.0, CorrelationParams(1.0 - 1e-7), 1.2)
         assert sum_rate(near) == pytest.approx(sum_rate(base), abs=1e-3)
 
+    @pytest.mark.parametrize("k,power,alpha,slope", [(4, 10.0, 1.0, 1.5279),
+                                                     (16, 100.0, 2.5, 1.4860)])
+    def test_linear_approach_to_rho_one(self, k, power, alpha, slope):
+        # |R(rho) - R(1)| / (1 - rho) settles to a constant: the rate is O(1 - rho)
+        # from the instantaneous closed form, down to the |rho| = 1 cutoff.
+        at_one = sum_rate(ErgodicConfig(k, power, CorrelationParams(1.0), alpha), TIGHT)
+        for one_minus_rho in (1e-3, 1e-6, 1.5e-9):
+            cfg = ErgodicConfig(k, power, CorrelationParams(1.0 - one_minus_rho), alpha)
+            gap = abs(sum_rate(cfg, TIGHT) - at_one)
+            assert gap / one_minus_rho == pytest.approx(slope, rel=1e-3)
+
     @pytest.mark.parametrize("one_minus_rho", [1e-7, 1e-8])
     def test_marcum_step_near_rho_one(self, one_minus_rho):
         # The Marcum-Q factor steps at z0 = sqrt(alpha)/rho over a width of

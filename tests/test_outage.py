@@ -12,9 +12,7 @@ from onebitfb.outage import (
     default_threshold,
     dmt_analytic,
     dmt_empirical_slope,
-    eps0_instant,
     eps0_outdated,
-    eps1_instant,
     eps1_outdated,
     outage_instant,
     outage_longterm_closed,
@@ -68,26 +66,26 @@ class TestPowerMode:
 class TestInstantPieces:
     def test_eps1_zero_when_rate_supported(self):
         # qualified users see at least log(1 + P1 alpha)
-        assert eps1_instant(math.log1p(50.0 * 2.0), 50.0, 2.0) == 0.0
-        assert eps1_instant(0.5, 50.0, 2.0) == 0.0
+        assert eps1_outdated(math.log1p(50.0 * 2.0), 50.0, 2.0, CorrelationParams(1.0)) == 0.0
+        assert eps1_outdated(0.5, 50.0, 2.0, CorrelationParams(1.0)) == 0.0
 
     def test_eps1_above_support(self):
         r, p1, a = 3.0, 10.0, 0.5
         want = -math.expm1(a - (math.exp(r) - 1) / p1)
-        assert eps1_instant(r, p1, a) == pytest.approx(want, rel=1e-12)
+        assert eps1_outdated(r, p1, a, CorrelationParams(1.0)) == pytest.approx(want, rel=1e-12)
 
     def test_eps0_formula_and_boundary(self):
         r, p0, a = 1.0, 100.0, 0.2
         want = (1 - math.exp(-a * (math.exp(r) - 1) / (p0 * a))) / (1 - math.exp(-a))
-        assert eps0_instant(r, p0, a) == pytest.approx(want, rel=1e-12)
+        assert eps0_outdated(r, p0, a, CorrelationParams(1.0)) == pytest.approx(want, rel=1e-12)
         # at R = log(1 + P0 alpha) the printed branch gives exactly 1
         r_b = math.log1p(p0 * a)
-        assert eps0_instant(r_b, p0, a) == pytest.approx(1.0, rel=1e-12)
-        assert eps0_instant(r_b + 0.01, p0, a) == 1.0
+        assert eps0_outdated(r_b, p0, a, CorrelationParams(1.0)) == pytest.approx(1.0, rel=1e-12)
+        assert eps0_outdated(r_b + 0.01, p0, a, CorrelationParams(1.0)) == 1.0
 
     def test_eps0_needs_positive_alpha(self):
         with pytest.raises(ValueError):
-            eps0_instant(1.0, 10.0, 0.0)
+            eps0_outdated(1.0, 10.0, 0.0, CorrelationParams(1.0))
 
     def test_siso_no_feedback_limit(self):
         # K = 1, short-term, alpha ~ 0: classic Rayleigh outage
@@ -176,6 +174,24 @@ class TestOutdated:
                 outage_instant(cfg_i).eps, abs=1e-3
             )
 
+    @pytest.mark.parametrize("power,rate,scale", [(31.6, 1.5, 0.37397), (100.0, 2.0, 0.28516)])
+    def test_square_root_approach_to_rho_one(self, power, rate, scale):
+        # At the zero-outage threshold eps1(1) = 0, and outdated feedback loses
+        # a boundary layer of width sqrt(1 - rho^2): eps is O(sqrt(1 - rho)).
+        mode = PowerMode.long_term()
+        alpha = default_threshold(mode, power, rate)
+        at_one = outage_outdated(OutageConfig(4, power, CorrelationParams(1.0), rate, alpha, mode))
+        for one_minus_rho in (1e-3, 1e-6, 2e-9):
+            cfg = OutageConfig(4, power, CorrelationParams(1.0 - one_minus_rho), rate, alpha, mode)
+            gap = abs(outage_outdated(cfg).eps - at_one.eps)
+            assert gap / math.sqrt(one_minus_rho) == pytest.approx(scale, rel=1e-3)
+
+    @pytest.mark.parametrize("form", [eps1_outdated, eps0_outdated])
+    def test_tiny_power_is_the_zero_power_limit(self, form):
+        # (e^R - 1)/P overflows: certain outage, as at P = 0, for every rho.
+        for rho in (0.0, 0.5, 1.0):
+            assert form(LOG2, 1e-320, 1.0, CorrelationParams(rho)) == 1.0
+
     def test_terms_helper(self):
         # the Marcum-Q arguments use mu = 2 (e^R-1)/(1-rho^2), nu = 2 alpha/(1-rho^2)
         r, p, a, rho = 2.0, 10.0, 0.5, 0.6
@@ -209,6 +225,9 @@ class TestDmt:
         with pytest.raises(ValueError):
             dmt_analytic("bogus", 2)
         assert "longterm_1bit" in DMT_SCHEMES
+        for n_points in (0, 1):
+            with pytest.raises(ValueError, match="n_points"):
+                dmt_analytic("longterm_1bit", 2, n_points=n_points)
 
     def test_empirical_matches_analytic(self):
         for k in (1, 2):
@@ -244,8 +263,10 @@ class TestValidation:
     @pytest.mark.parametrize(
         "evaluate",
         [
-            pytest.param(lambda r: eps1_instant(r, 1.0, 0.5), id="eps1_instant"),
-            pytest.param(lambda r: eps0_instant(r, 1.0, 0.5), id="eps0_instant"),
+            pytest.param(lambda r: eps1_outdated(r, 1.0, 0.5, CorrelationParams(1.0)),
+                         id="eps1_instant"),
+            pytest.param(lambda r: eps0_outdated(r, 1.0, 0.5, CorrelationParams(1.0)),
+                         id="eps0_instant"),
             pytest.param(lambda r: eps1_outdated(r, 1.0, 0.5, CorrelationParams(0.5)),
                          id="eps1_outdated"),
             pytest.param(lambda r: eps0_outdated(r, 1.0, 0.5, CorrelationParams(0.5)),
@@ -262,7 +283,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "evaluate",
         [
-            pytest.param(lambda r: eps1_instant(r, 1.0, 0.5), id="eps1_instant"),
+            pytest.param(lambda r: eps1_outdated(r, 1.0, 0.5, CorrelationParams(1.0)),
+                         id="eps1_instant"),
             pytest.param(lambda r: eps1_outdated(r, 1.0, 0.5, CorrelationParams(0.5)),
                          id="eps1_outdated"),
             pytest.param(lambda r: eps0_outdated(r, 1.0, 0.5, CorrelationParams(0.5)),
@@ -276,6 +298,34 @@ class TestValidation:
         # e^R - 1 overflows past R = 709.78 nats.
         with pytest.raises(OverflowError, match="rate_nats"):
             evaluate(1e6 * math.log(2.0))
+
+    @pytest.mark.parametrize(
+        "evaluate,power_name",
+        [
+            pytest.param(lambda: zero_outage_threshold(1e-3, 1020 * LOG2), "power",
+                         id="zero_outage_threshold"),
+            pytest.param(lambda: default_threshold(PowerMode.explicit(1e-320, 1.0), 10.0, LOG2),
+                         "p1", id="default_threshold"),
+        ],
+    )
+    def test_overflowing_threshold_is_named(self, evaluate, power_name):
+        # (e^R - 1)/P1 past the float range: a numerical failure, not a usage error.
+        with pytest.raises(OverflowError, match=f"rate_nats = .*, {power_name} = "):
+            evaluate()
+
+    @pytest.mark.parametrize(
+        "form,args",
+        [
+            pytest.param(outage_longterm_closed, {"power": 10.0, "num_users": 2, "rate_nats": 1.0},
+                         id="outage_longterm_closed"),
+            pytest.param(power_split_longterm, {"power": 10.0, "alpha": 1.0, "num_users": 2},
+                         id="power_split_longterm"),
+        ],
+    )
+    def test_nan_argument_is_named(self, form, args):
+        for name in args:
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                form(**{**args, name: math.nan})
 
     def test_huge_threshold_leaves_no_outage_on_one(self):
         # v^2 >= 1e300 puts v_tau near rho 1e150: no outage at one bit.  The
