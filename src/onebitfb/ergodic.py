@@ -165,6 +165,11 @@ def sum_rate(cfg: ErgodicConfig, quad: QuadratureSpec | None = None) -> float:
     log(1 + P z^2) against :func:`conditional_pdf_vtau`.  rho = 0 and
     |rho| = 1 use their exact specializations.
     """
+    return _sum_rate(cfg, quad, conditional_pdf_vtau)
+
+
+def _sum_rate(cfg: ErgodicConfig, quad: QuadratureSpec | None, density) -> float:
+    """:func:`sum_rate` with ``density(z, alpha, corr)`` in place of :func:`conditional_pdf_vtau`."""
     prob = prob_some_above(cfg.threshold, cfg.num_users)
     power, alpha, corr = cfg.power, cfg.threshold, cfg.corr
     if corr.rho == 0.0:
@@ -179,7 +184,7 @@ def sum_rate(cfg: ErgodicConfig, quad: QuadratureSpec | None = None) -> float:
                             f"rate needs alpha (1 - rho^2) <= {_MAX_ALPHA_DECORRELATION:g}")
 
     def integrand(z):
-        return np.log1p(z * z * power) * conditional_pdf_vtau(z, alpha, corr)
+        return np.log1p(z * z * power) * density(z, alpha, corr)
 
     # The Marcum-Q factor steps from 0 to 1 at z0 = sqrt(alpha)/|rho| over a
     # width of about sqrt(1-rho^2)/(sqrt(2)|rho|), which near |rho| = 1 is
@@ -334,16 +339,25 @@ def rate_at_ebn0(
 
     Zero rate at or below Eb/N0_min.  Above it, P / R_bits(P) rises with P:
     bisect in log P to width 1e-12, from [ln 1e-10, 0] with the upper end
-    raised by 4 until it brackets the target.
+    raised by 4 until it brackets the target.  The density does not depend
+    on P and every panel is a bisection of the same first segments, so it
+    is evaluated once per distinct set of nodes and kept for this call only.
     """
     if not math.isfinite(ebn0_db):
         raise ValueError("ebn0_db must be finite")
     if ebn0_db <= wideband_metrics(alpha, num_users, corr).ebn0_min_db:
         return 0.0, 0.0
+    memo = {}
+
+    def density(z, a, c):
+        key = z.tobytes()
+        if key not in memo:
+            memo[key] = conditional_pdf_vtau(z, a, c)
+        return memo[key]
 
     def point(log_power: float) -> tuple[float, float]:
         power = math.exp(log_power)
-        return sum_rate(ErgodicConfig(num_users, power, corr, alpha), quad), power
+        return _sum_rate(ErgodicConfig(num_users, power, corr, alpha), quad, density), power
 
     lo, up = math.log(1e-10), 0.0
     best = point(up)

@@ -206,6 +206,20 @@ def outage_longterm_closed(power: float, num_users: int, rate_nats: float) -> fl
     return base ** (num_users - 1) * -math.expm1(-2.0 * c * base ** num_users / power)
 
 
+def _marcum_pair(rate_nats: float, c: float, power: float, alpha: float, corr: CorrelationParams):
+    """(Q1(a, |rho| sb), Q1(|rho| a, sb)), a = sqrt(mu/P), sb = sqrt(nu), from one marcum_q1 call;
+    an argument that overflows is an OverflowError naming rate_nats or alpha."""
+    omr2 = 1.0 - corr.rho ** 2
+    a = math.sqrt(2.0 * c / omr2 / power)
+    sb = math.sqrt(2.0 * alpha / omr2)
+    for name, value, arg in (("rate_nats", rate_nats, a), ("alpha", alpha, sb)):
+        if math.isinf(arg):
+            raise OverflowError(f"{name} = {value:.6g} overflows a Marcum-Q argument")
+    r = corr.abs_rho
+    q_a, q = marcum_q1((a, r * a), (r * sb, sb))
+    return float(q_a), float(q)
+
+
 def eps1_outdated(rate_nats: float, p1: float, alpha: float, corr: CorrelationParams) -> float:
     """Outage probability given feedback "1".
 
@@ -228,13 +242,9 @@ def eps1_outdated(rate_nats: float, p1: float, alpha: float, corr: CorrelationPa
     c = _snr_for(rate_nats)
     if math.isinf(c / p1):
         return 1.0  # the P1 -> 0 limit of the Marcum form, as at P1 = 0
-    omr2 = 1.0 - corr.rho ** 2
-    r = corr.abs_rho
-    a = math.sqrt(2.0 * c / omr2 / p1)
-    sb = math.sqrt(2.0 * alpha / omr2)
+    q_a, q = _marcum_pair(rate_nats, c, p1, alpha, corr)
     # e^{alpha - c/P1} Q1 <= 1, so the exponential overflows only where Q1 underflows.
-    q = marcum_q1(r * a, sb)
-    val = marcum_q1(a, r * sb) - (math.exp(alpha - c / p1) * q if q > 0.0 else 0.0)
+    val = q_a - (math.exp(alpha - c / p1) * q if q > 0.0 else 0.0)
     return min(max(val, 0.0), 1.0)
 
 
@@ -256,17 +266,9 @@ def eps0_outdated(rate_nats: float, p0: float, alpha: float, corr: CorrelationPa
     c = _snr_for(rate_nats)
     if math.isinf(c / p0):
         return 1.0  # the P0 -> 0 limit of the Marcum form, as at P0 = 0
-    omr2 = 1.0 - corr.rho ** 2
-    r = corr.abs_rho
-    a = math.sqrt(2.0 * c / omr2 / p0)
-    sb = math.sqrt(2.0 * alpha / omr2)
+    q_a, q = _marcum_pair(rate_nats, c, p0, alpha, corr)
     ecr = math.exp(-c / p0)
-    val = (
-        1.0
-        - ecr
-        - math.exp(-alpha) * marcum_q1(a, r * sb)
-        + ecr * marcum_q1(r * a, sb)
-    ) / -math.expm1(-alpha)
+    val = (1.0 - ecr - math.exp(-alpha) * q_a + ecr * q) / -math.expm1(-alpha)
     return min(max(val, 0.0), 1.0)
 
 

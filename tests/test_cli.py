@@ -322,6 +322,11 @@ class TestRejectedInputs:
              3, "rate_nats"),
             (("simulate", "--k", "2", "--rho", "0.5", "--rate-bits", "1", "--power-mode",
               "explicit:1e-320,1", "--n-blocks", "10"), 3, "rate_nats"),
+            # A Marcum-Q argument overflows while (e^R - 1)/P and alpha are finite.
+            (("outage", "--k", "4", "--rho", "0.5", "--rate-nats", "709", "--snr-db", "300",
+              "--power-mode", "short-term"), 3, "rate_nats"),
+            (("outage", "--k", "4", "--rho", "0.5", "--rate-bits", "1", "--alpha", "1.7e308",
+              "--power-mode", "short-term"), 3, "alpha"),
         ],
     )
     def test_messages_name_the_argument(self, capsys, argv, code, name):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from onebitfb import ergodic
 from onebitfb.channel import CorrelationParams
 from onebitfb.ergodic import (
     ErgodicConfig,
@@ -257,6 +258,51 @@ class TestWideband:
         target = wideband_metrics(3.0, 100, c).ebn0_min_db + 0.05
         rate, power = rate_at_ebn0(target, 100, c, 3.0, FIG2_QUAD)
         assert ebn0_db_from_power(rate, power) == pytest.approx(target, abs=1e-6)
+
+    def test_inversion_is_bisection_over_sum_rate(self):
+        # The same bisection written over the public sum_rate.  The middle case
+        # follows one at another alpha, the last one at another rho: a density
+        # kept from an earlier call would change their results.
+        def bisect(ebn0_db, k, corr, alpha, quad):
+            def point(log_power):
+                power = math.exp(log_power)
+                return sum_rate(ErgodicConfig(k, power, corr, alpha), quad), power
+
+            lo, up = math.log(1e-10), 0.0
+            best = point(up)
+            while ebn0_db_from_power(*best) < ebn0_db:
+                lo, up = up, up + 4.0
+                best = point(up)
+            while up - lo > 1e-12:
+                mid = 0.5 * (lo + up)
+                trial = point(mid)
+                if ebn0_db_from_power(*trial) < ebn0_db:
+                    lo = mid
+                else:
+                    up, best = mid, trial
+            return best
+
+        cases = [(3.0, CorrelationParams(0.9)), (1.0, CorrelationParams(0.9)),
+                 (1.0, CorrelationParams(0.7))]
+        args = [(wideband_metrics(a, 100, c).ebn0_min_db + 3.0, 100, c, a, FIG2_QUAD)
+                for a, c in cases]
+        got = [rate_at_ebn0(*arg) for arg in args]
+        assert got == [bisect(*arg) for arg in args]
+
+    def test_inversion_evaluates_each_node_once(self, monkeypatch):
+        # The density does not depend on P: one inversion needs it at each of
+        # about 300 distinct nodes, where a fresh sum_rate per step needed 13,000.
+        elements = []
+
+        def counting(a, b):
+            out = marcum_q1(a, b)
+            elements.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(ergodic, "marcum_q1", counting)
+        c = CorrelationParams(0.9)
+        rate_at_ebn0(wideband_metrics(3.0, 100, c).ebn0_min_db + 3.0, 100, c, 3.0, FIG2_QUAD)
+        assert 0 < sum(elements) <= 1000
 
     def test_inversion_no_csi_closed_form(self):
         # K=1, rho=0, alpha=0: R(P) = e^{1/P} E1(1/P), so the point must

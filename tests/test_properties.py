@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import special
 
@@ -46,6 +46,33 @@ def test_marcum_within_bounds(a, b):
     lo, hi = marcum_q1_bounds(a, b)
     q = marcum_q1(a, b)
     assert lo * (1.0 - 1e-12) <= q <= hi * (1.0 + 1e-12)
+
+
+def two_branch_q1(a, b):
+    """Q1 as two chndtr branches picked by np.where: each element evaluates both."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.where(b < a, 1.0 - special.chndtr(b * b, 2.0, a * a),
+                   np.exp(-0.5 * (a - b) ** 2) * special.i0e(a * b)
+                   + special.chndtr(a * a, 2.0, b * b))
+    out = np.where(np.abs(a - b) > 40.0, (b < a).astype(float), out)
+    return np.clip(out, 0.0, 1.0)
+
+
+SCALED_ARGS = st.lists(st.sampled_from([1e-3, 1.0, 30.0, 1e3, 1e5]).flatmap(
+    lambda scale: st.tuples(st.floats(0.0, scale), st.floats(0.0, scale))), min_size=1, max_size=8)
+
+
+@given(SCALED_ARGS)
+@example([(0.0, 0.0), (0.0, 3.0), (3.0, 0.0)])
+@example([(7.5, 7.5), (1500.0, 1500.0), (1e-300, 1e-300)])
+@example([(50.0, 9.0), (9.0, 50.0), (0.0, 40.5), (1e10, 3.0), (3.0, 1e10)])
+def test_marcum_one_chndtr_matches_two_branches(pairs):
+    # One chndtr(min^2, 2, max^2) per element gives the two-branch values bit for bit,
+    # batched and one pair at a time.
+    a, b = np.array(pairs).T
+    assert marcum_q1(a, b).tobytes() == two_branch_q1(a, b).tobytes()
+    for x, y in pairs:
+        assert marcum_q1(x, y) == float(two_branch_q1(x, y))
 
 
 @st.composite

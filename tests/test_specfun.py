@@ -185,6 +185,21 @@ class TestQuadrature:
             math.exp(-1.0), rel=1e-10
         )
 
+    def test_each_bisection_is_one_integrand_call(self):
+        # Both breakpoint panels, then one 15-node call per tail segment,
+        # then both halves of each bisected panel in one 30-node call.
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-x) * np.cos(4.0 * x)
+
+        got = integrate_semi_infinite(f, 0.0, breakpoints=(0.5, 1.0))
+        assert got == pytest.approx(1.0 / 17.0, rel=1e-9)
+        tail = sizes.count(15)
+        assert sizes == [30] + [15] * tail + [30] * (len(sizes) - 1 - tail)
+        assert len(sizes) > tail + 1
+
     def test_convergence_error_carries_estimate(self):
         spec = QuadratureSpec(
             abs_tol=1e-16, rel_tol=1e-16, max_subdivisions=3, tail_cutoff_tol=1e-18
