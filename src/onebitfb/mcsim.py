@@ -6,10 +6,10 @@ v^2 = |h|^2 is at least alpha; the base station picks uniformly among the N
 records the rate or outage against the transmission-time envelope v_tau.
 
 Per block it draws only what the protocol reads: K exponential gains, one
-uniform for the pick and two normals for the chosen user's v_tau.  As the
-oracle for every closed form it stays a literal simulation: N is counted from
-the K gains, never drawn as Binomial(K, e^-alpha) with v^2 = alpha + Exp(1),
-which would repeat the closed forms' own derivation.
+uniform for the pick and, unless |rho| = 1, two normals for the chosen user's
+v_tau.  As the oracle for every closed form it stays a literal simulation: N
+is counted from the K gains, never drawn as Binomial(K, e^-alpha) with
+v^2 = alpha + Exp(1), which would repeat the closed forms' own derivation.
 
 Blocks are i.i.d.; trials are partitioned into fixed-size chunks, each driven
 by a generator seeded from (seed, chunk index), so results are bit-identical
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+_PANEL = 1 << 16  # exponentials per panel of _draw_blocks
 
 
 @dataclass(frozen=True)
@@ -82,21 +83,41 @@ def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
 def _draw_blocks(rng, rho: float, n: int, k: int, alpha: float):
     """The scheduled user's envelopes (v, v_tau) and N, the count of "1" bits, per block.
 
-    Draws K gains |h|^2 ~ Exp(1), one uniform and two normals per block, in
-    that order.  The pick is the floor(u M)-th of the M candidates: the N
-    users with v^2 >= alpha, or all K when N = 0.  The phase of h is
-    independent of |h| and w is circular, so |h_tau| = |rho h + s w| has the
-    law of |(|rho| v + s w1) + j s w2|, with w1, w2 ~ N(0, 1/2).
+    Draws K gains |h|^2 ~ Exp(1) per block, then one uniform per block, then,
+    unless |rho| = 1, two normals per block, in that order.  The pick is the
+    floor(u M)-th of the M candidates: the N users with v^2 >= alpha, or all
+    K when N = 0.  The phase of h is independent of |h| and w is circular,
+    so |h_tau| = |rho h + s w| has the law of |(|rho| v + s w1) + j s w2|,
+    with w1, w2 ~ N(0, 1/2); at |rho| = 1 that is v itself.
+
+    The gains are drawn in panels of _PANEL (whole blocks, at least one) into
+    one reused buffer.  The generator fills sequentially, so the stream is
+    that of one (n, K) draw.  Of each panel only what the pick reads is kept:
+    the "1" users' gains, and all K gains of each block with N = 0.
     """
-    g = rng.standard_exponential((n, k))
-    qualified = g >= alpha
-    n_above = qualified.sum(axis=1)
-    m = np.where(n_above > 0, n_above, k)
+    rows = max(1, _PANEL // k)
+    buf = np.empty((min(rows, n), k))
+    n_above = np.empty(n, dtype=np.int64)
+    ones, silent = [], []  # per panel: the "1" users' gains, and the rows of its N = 0 blocks
+    for start in range(0, n, rows):
+        g = rng.standard_exponential(out=buf[:n - start])
+        idx = np.flatnonzero(g >= alpha)
+        counts = np.bincount(idx // k, minlength=len(g))
+        n_above[start:start + len(g)] = counts
+        ones.append(np.take(g, idx))
+        silent.append(g[counts == 0])
+    tx = n_above > 0
+    m = np.where(tx, n_above, k)
     target = np.minimum((rng.random(n) * m).astype(np.int64), m - 1)
-    # Flat indices of every block's candidates, block by block: block i's start at sum(m[:i]).
-    candidates = np.flatnonzero(qualified | (n_above == 0)[:, None])
-    v = np.sqrt(g.ravel()[candidates[np.cumsum(m) - m + target]])
-    s = math.sqrt(max(0.0, 1.0 - rho * rho))
+    # The candidates: every "1" gain in block order, then each silent block's K gains.
+    cum = np.cumsum(n_above)
+    first = cum - n_above
+    silent_blocks = np.flatnonzero(~tx)
+    first[silent_blocks] = cum[-1] + k * np.arange(silent_blocks.size)
+    v = np.sqrt(np.concatenate(ones + silent, axis=None)[first + target])
+    if abs(rho) == 1.0:  # s = 0: hypot(v + 0 w1, 0 w2) is v, bit for bit
+        return v, v, n_above
+    s = math.sqrt(1.0 - rho * rho)
     w = rng.standard_normal((2, n)) * math.sqrt(0.5)
     return v, np.hypot(abs(rho) * v + s * w[0], s * w[1]), n_above
 

@@ -97,8 +97,11 @@ def marcum_q1(a, b):
     Where |a - b| > 40 the exponential bounds (see :func:`marcum_q1_bounds`)
     put Q1 within 1e-300 of 0 or 1, and that value is returned: ``chndtr``
     gives NaN there once a^2 or b^2 passes about 1e19.  Nearer the ridge it
-    stops converging once max(a, b) passes about 2e5; that raises
-    OverflowError rather than return NaN.
+    stops converging (NaN) once max(a, b) passes about 2e5; there Q1 is
+    ndtr(a - b) + exp(-(a-b)^2/2) i0e(ab) / 2, which keeps the complement
+    identity exactly, is exact at a = b and is within 0.034/(ab) absolute
+    of a 40-digit quadrature of the defining integral: under 1e-12 wherever
+    it is used.
     """
     # Ufunc broadcasting and array .all()/.any(): np.broadcast_arrays, np.all
     # and np.any cost about 5, 4 and 4 us a call.
@@ -114,8 +117,10 @@ def marcum_q1(a, b):
     out = np.where(below, 1.0 - tail,
                    np.exp(-0.5 * (a_arr - b_arr) ** 2) * sc.i0e(a_arr * b_arr) + tail)
     out = np.where(np.abs(a_arr - b_arr) > 40.0, below.astype(float), out)
-    if np.isnan(out).any():
-        raise OverflowError("marcum_q1: arguments too large for scipy's chndtr near b = a")
+    ridge = np.isnan(out)
+    if ridge.any():
+        d = a_arr - b_arr
+        out = np.where(ridge, sc.ndtr(d) + 0.5 * np.exp(-0.5 * d * d) * sc.i0e(a_arr * b_arr), out)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -184,6 +189,8 @@ _G7_WEIGHTS = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
+# Roundoff floor of a panel's error bound, per unit of its K15 sum of |f|.
+_ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
 
 
 def _gk15(f: Callable, *panels):
@@ -198,7 +205,7 @@ def _gk15(f: Callable, *panels):
         ig = half * float(np.dot(_G7_WEIGHTS, row[1::2]))
         resabs = half * float(np.dot(_GK_WEIGHTS, np.abs(row)))
         # |K15 - G7| is a conservative bound on the K15 error; floor at roundoff.
-        out.append((ik, max(abs(ik - ig), 50.0 * np.finfo(float).eps * resabs)))
+        out.append((ik, max(abs(ik - ig), _ROUNDOFF_FLOOR * resabs)))
     return out
 
 

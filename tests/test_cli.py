@@ -343,6 +343,14 @@ class TestRejectedInputs:
         assert float(row["eps1"]) == 0.0
         assert float(row["eps0"]) == pytest.approx(-math.expm1(-1.0 / 50.0), rel=1e-12)
 
+    def test_marcum_ridge_past_chndtr(self, capsys):
+        # eps1 reads Q1(a, a) at a = 3.6e5, where chndtr is NaN; the ridge
+        # form (1 + i0e(a^2)) / 2 is exact there.
+        code, out, _ = run(capsys, "outage", "--k", "4", "--snr-db", "0", "--rate-bits", "8",
+                           "--rho", "0.999999998", "--power-mode", "short-term")
+        assert code == 0
+        assert float(parse_csv(out)[1][0]["eps1"]) == pytest.approx(5.69803517786e-4, rel=1e-9)
+
     @pytest.mark.parametrize("powers,column", [("1e-320,1", "eps1"), ("1,1e-320", "eps0")])
     def test_tiny_explicit_power_is_certain_outage(self, capsys, powers, column):
         # (e^R - 1)/P overflows: the P -> 0 limit, eps = 1 for that feedback bit.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -59,6 +60,46 @@ class TestDeterminism:
             rates.append(np.where(n_above > 0, rate, 0.0))
         mean = float(np.concatenate(rates).mean())
         assert mean == pytest.approx(simulate_ergodic_rate(cfg).mean, rel=1e-12)
+
+
+def _one_shot(rng, rho, n, k, alpha):
+    """The sampler with all n x K gains in one array: the stream the panels must reproduce."""
+    g = rng.standard_exponential((n, k))
+    qualified = g >= alpha
+    n_above = qualified.sum(axis=1)
+    m = np.where(n_above > 0, n_above, k)
+    target = np.minimum((rng.random(n) * m).astype(np.int64), m - 1)
+    candidates = np.flatnonzero(qualified | (n_above == 0)[:, None])
+    v = np.sqrt(g.ravel()[candidates[np.cumsum(m) - m + target]])
+    s = math.sqrt(max(0.0, 1.0 - rho * rho))
+    w = rng.standard_normal((2, n)) * math.sqrt(0.5)
+    return v, np.hypot(abs(rho) * v + s * w[0], s * w[1]), n_above
+
+
+class TestPanels:
+    # n is no multiple of a panel's rows; K = 200000 is one block per panel.
+    @pytest.mark.parametrize("k,n", [(1, 70_001), (4, 50_000), (64, 3_000), (1000, 777),
+                                     (200_000, 3)])
+    @pytest.mark.parametrize("rho", [0.5, 1.0, -1.0])
+    def test_bit_identical_to_one_shot(self, k, n, rho):
+        # alpha = log K + 1 leaves most blocks silent, alpha = 50 all of them.
+        for alpha in (0.0, 1.0, math.log(k) + 1.0, 50.0):
+            got = _draw_blocks(np.random.default_rng([9, k]), rho, n, k, alpha)
+            want = _one_shot(np.random.default_rng([9, k]), rho, n, k, alpha)
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype
+                np.testing.assert_array_equal(x, y)
+
+    def test_chunk_memory_is_bounded(self):
+        # The (2^16, 256) gains of one chunk alone take 128 MiB.
+        cfg = _cfg(num_users=256, threshold=3.5, n_blocks=_CHUNK)
+        tracemalloc.start()
+        try:
+            simulate_ergodic_rate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestErgodicAgainstClosedForm:
@@ -242,6 +283,10 @@ class TestSchedulingLaw:
         _draw_blocks(rng, 0.9, 1000, k, self.ALPHA)
         assert rng.counts == {"standard_exponential": 1000 * k, "random": 1000,
                               "standard_normal": 2000}
+        # At rho = 1, v_tau is v: no normals.
+        rng = _CountingGenerator(np.random.default_rng(0))
+        _draw_blocks(rng, 1.0, 1000, k, self.ALPHA)
+        assert rng.counts == {"standard_exponential": 1000 * k, "random": 1000}
 
 
 class TestReferences:

@@ -36,6 +36,33 @@ MARCUM_MPMATH_GOLDENS = [
     (10.0, 10.0, 0.51997218964954834),
 ]
 
+# Frozen via mpmath at 40 digits: quadrature of the defining integral in the
+# form x exp(-(x-a)^2/2) I0e(ax) from b to infinity.  chndtr is NaN at all of
+# them but the six at a = 2.5e5 with b != a.
+MARCUM_RIDGE_GOLDENS = [
+    (250000.0, 250000.0, 0.5000007978845608),
+    (250000.0, 250000.1, 0.46017295662567603),
+    (250000.0, 249999.9, 0.5398286311845139),
+    (250000.0, 250001.0, 0.15865573787242215),
+    (250000.0, 249999.0, 0.8413452300104759),
+    (250000.0, 250005.0, 2.8665454530335634e-07),
+    (250000.0, 249995.0, 0.9999997133514016),
+    (1000000.0, 1000000.0, 0.5000001994711402),
+    (1000000.0, 1000000.1, 0.4601723612084821),
+    (1000000.0, 999999.9, 0.5398280357440655),
+    (1000000.0, 1000001.0, 0.15865537491678908),
+    (1000000.0, 999999.0, 0.8413448670539354),
+    (1000000.0, 1000005.0, 2.866523152380221e-07),
+    (1000000.0, 999995.0, 0.9999997133491715),
+    (10000000.0, 10000000.0, 0.5000000199471141),
+    (10000000.0, 10000000.1, 0.4601721827184747),
+    (10000000.0, 9999999.9, 0.53982785697678),
+    (10000000.0, 10000001.0, 0.15865526602999297),
+    (10000000.0, 9999999.0, 0.8413447581670794),
+    (10000000.0, 10000005.0, 2.866516462151604e-07),
+    (10000000.0, 9999995.0, 0.9999997133485025),
+]
+
 # Frozen via mpmath: exp(x) * e1(x) at 30 digits.
 EXPX_E1_GOLDENS = [
     (0.5, 0.92291063248373047),
@@ -94,11 +121,20 @@ class TestMarcumQ1:
 
     def test_huge_arguments_saturate_or_raise(self):
         # chndtr gives NaN at these noncentralities; the bounds pin Q1 far off
-        # the ridge, and on it the failure is loud.
+        # the ridge, and on it Q1(a, a) is (1 + i0e(a^2)) / 2 exactly.
         assert marcum_q1(1e44, 0.5) == 1.0
         assert marcum_q1(0.5, 1e44) == 0.0
-        with pytest.raises(OverflowError):
-            marcum_q1(5e5, 5e5)
+        assert marcum_q1(5e5, 5e5) == pytest.approx(0.5 * (1.0 + special.i0e(2.5e11)), abs=1e-14)
+
+    @pytest.mark.parametrize("a,b,want", MARCUM_RIDGE_GOLDENS)
+    def test_ridge_past_chndtr(self, a, b, want):
+        # Where chndtr is NaN the normal-plus-ridge form runs, off by at most
+        # 0.034/(ab); where chndtr still converges it is up to 6e-12 off.
+        if np.isnan(special.chndtr(min(a, b) ** 2, 2.0, max(a, b) ** 2)):
+            tol = 0.04 / (a * b) + 2.3e-16
+        else:
+            tol = 1e-11
+        assert marcum_q1(a, b) == pytest.approx(want, rel=0, abs=tol)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
