@@ -21,7 +21,6 @@ from .ergodic import (
 )
 from .mcsim import McEstimate, SimConfig, simulate_ergodic_rate, simulate_outage
 from .outage import (
-    DmtCurve,
     OutageConfig,
     OutageReport,
     PowerMode,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import special as sc
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "JakesParams",
     "DegenerateCorrelationError",
     "rho_from_jakes",
-    "joint_pdf",
 ]
 
 # Treat |rho| this close to 1 as exact instantaneous feedback; the outdated
@@ -66,26 +64,3 @@ class JakesParams:
 def rho_from_jakes(params: JakesParams) -> CorrelationParams:
     """Map (Doppler, delay) to the correlation coefficient J0(2 pi f_D tau)."""
     return CorrelationParams(float(sc.j0(2.0 * math.pi * params.doppler_hz * params.delay_s)))
-
-
-def joint_pdf(v, v_tau, c: CorrelationParams):
-    """Joint density of the two correlated Rayleigh envelopes.
-
-    f(v_tau, v) = 4 v_tau v / (1-rho^2) * exp(-(v_tau^2+v^2)/(1-rho^2))
-                  * I0(2 |rho| v_tau v / (1-rho^2)),
-    evaluated with the exponentially scaled I0 so large arguments are safe.
-    """
-    if c.is_instantaneous:
-        raise DegenerateCorrelationError(
-            "joint density is degenerate at |rho| = 1"
-        )
-    v = np.asarray(v, dtype=float)
-    v_tau = np.asarray(v_tau, dtype=float)
-    r = c.abs_rho
-    omr2 = 1.0 - r * r
-    arg = 2.0 * r * v_tau * v / omr2
-    # exp(arg - (v^2+v_tau^2)/(1-rho^2)) = exp(-(v_tau - r v)^2/(1-rho^2) - v^2)
-    expo = -((v_tau - r * v) ** 2) / omr2 - v * v
-    out = 4.0 * v_tau * v / omr2 * sc.i0e(arg) * np.exp(expo)
-    return float(out) if out.ndim == 0 else out
-

@@ -113,11 +113,15 @@ def _parse_sweep(text: str):
 
 
 def _resolve_rho(args) -> channel.CorrelationParams:
-    if args.rho is not None:
-        return channel.CorrelationParams(args.rho)
-    if args.doppler_hz is not None and args.delay_s is not None:
-        return channel.rho_from_jakes(channel.JakesParams(args.doppler_hz, args.delay_s))
-    return channel.CorrelationParams(1.0)
+    """rho from one source: --rho (or --sweep rho=...), Jakes' map of both flags, or neither (1)."""
+    if (args.doppler_hz is None) != (args.delay_s is None):
+        raise ValueError("--doppler-hz and --delay-s must be given together")
+    if args.doppler_hz is None:
+        return channel.CorrelationParams(1.0 if args.rho is None else args.rho)
+    if args.rho is not None or (args.sweep and args.sweep[0] == "rho"):
+        flag = "--rho" if args.rho is not None else "--sweep rho"
+        raise ValueError(f"{flag} conflicts with --doppler-hz and --delay-s: give one source of rho")
+    return channel.rho_from_jakes(channel.JakesParams(args.doppler_hz, args.delay_s))
 
 
 def _rate_nats(args) -> float:
@@ -262,8 +266,7 @@ def _outage_rows(args, pt):
 
 
 def _dmt_rows(args, pt):
-    curve = outage.dmt_analytic(args.scheme, pt["k"])
-    return [{"r": p.r, "d": p.d} for p in curve.points]
+    return [{"r": r, "d": d} for r, d in outage.dmt_analytic(args.scheme, pt["k"])]
 
 
 def _simulate_rows(args, pt):
@@ -338,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures = sub.add_parser("figure").add_subparsers(dest="figure_id", required=True)
     for name, (_, defaults) in _FIGURES.items():
         fig = figures.add_parser(name)
-        _add_flags(fig, tuple(f.replace("_", "-") for f in defaults) + ("seed",))
+        _add_flags(fig, tuple(f.replace("_", "-") for f in defaults))
         fig.set_defaults(**defaults)
     return parser
 
@@ -366,8 +369,7 @@ def _figure_out(args, series: str) -> str | None:
 
 
 def _emit_series(args, figure_id: str, series: str, columns, rows):
-    meta = {"command": "figure", "figure_id": figure_id, "series": series,
-            "seed": args.seed}
+    meta = {"command": "figure", "figure_id": figure_id, "series": series}
     _write_table(_figure_out(args, series), args.format, meta, columns, rows)
 
 
@@ -453,7 +455,7 @@ def _figure5(args):
         _emit_series(args, "fig5", scheme, ["r", "d"], rows)
 
 
-# Each figure with the flags it reads besides --seed, --out and --format,
+# Each figure with the flags it reads besides --out and --format,
 # and their defaults for that figure.
 _FIGURES = {
     "fig1": (_figure1, {"snr_db": 20.0}),

@@ -1,8 +1,8 @@
 """Ergodic sum-rate of the 1-bit feedback scheme with outdated CSI.
 
 Closed-form rate, Jensen upper / truncation lower bounds, threshold policies
-and the numerical threshold optimizer, the large-user-count degradation
-estimate, wideband (low-SNR) metrics, and multiplexing-gain bounds.
+and the numerical threshold optimizer, wideband (low-SNR) metrics and the
+Eb/N0 inversion, and the full-CSI and no-CSI reference rates.
 
 All rates are in nats per channel use; the CLI converts to bits.
 """
@@ -30,12 +30,10 @@ __all__ = [
     "rate_bracket",
     "optimal_threshold",
     "suboptimal_threshold",
-    "degradation_estimate",
     "wideband_metrics",
     "affine_rate_approx",
     "ebn0_db_from_power",
     "rate_at_ebn0",
-    "multiplexing_gain_bounds",
     "ergodic_report",
     "full_csi_rate",
     "no_csi_rate",
@@ -278,13 +276,6 @@ def optimal_threshold(
     return 0.5 * (lo + up)
 
 
-def degradation_estimate(corr: CorrelationParams) -> float:
-    """Predicted large-K rate loss from feedback delay: 2 log|rho| (nats, <= 0)."""
-    if corr.rho == 0.0:
-        raise ValueError("no finite degradation prediction at rho = 0")
-    return 2.0 * math.log(corr.abs_rho)
-
-
 def wideband_metrics(alpha: float, num_users: int, corr: CorrelationParams) -> WidebandReport:
     """Minimum energy per bit and wideband slope of the 1-bit scheme.
 
@@ -374,13 +365,6 @@ def rate_at_ebn0(
     return best
 
 
-def multiplexing_gain_bounds(alpha: float, num_users: int, corr: CorrelationParams) -> tuple[float, float]:
-    """(r_low, r_up) bounds on the high-SNR multiplexing gain."""
-    r_up = prob_some_above(alpha, num_users)
-    r_low = r_up * rate_bracket(alpha, corr)
-    return min(r_low, r_up), r_up
-
-
 def ergodic_report(cfg: ErgodicConfig, quad: QuadratureSpec | None = None) -> ErgodicReport:
     """Rate plus both bounds and the transmit probability, in one pass."""
     return ErgodicReport(
@@ -396,6 +380,10 @@ def full_csi_rate(num_users: int, power: float, quad: QuadratureSpec | None = No
 
     The max of K unit exponentials has density K (1-e^{-x})^{K-1} e^{-x}.
     """
+    if num_users < 1:
+        raise ValueError("num_users must be >= 1")
+    if not 0 < power < math.inf:  # NaN fails it too
+        raise ValueError("power must be positive and finite")
 
     def integrand(x):
         x = np.asarray(x, dtype=float)
@@ -408,6 +396,6 @@ def full_csi_rate(num_users: int, power: float, quad: QuadratureSpec | None = No
 
 def no_csi_rate(power: float) -> float:
     """Reference rate with no CSI: E[log(1 + P v^2)] = e^{1/P} E1(1/P)."""
-    if power <= 0:
-        raise ValueError("power must be positive")
+    if not 0 < power < math.inf:
+        raise ValueError("power must be positive and finite")
     return expx_e1(1.0 / power)

@@ -32,8 +32,6 @@ __all__ = [
     "simulate_ergodic_rate",
     "simulate_outage",
     "simulate_avg_power",
-    "reference_full_csi_rate",
-    "reference_no_csi_rate",
 ]
 
 _CHUNK = 1 << 16
@@ -71,9 +69,6 @@ class McEstimate:
     mean: float
     stderr: float
     n: int
-
-    def within(self, value: float, n_sigma: float = 3.0) -> bool:
-        return abs(self.mean - value) <= n_sigma * max(self.stderr, 1e-300)
 
 
 def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
@@ -187,24 +182,3 @@ def simulate_outage(cfg: SimConfig) -> McEstimate:
 def simulate_avg_power(cfg: SimConfig) -> McEstimate:
     """Empirical mean transmit power over blocks."""
     return _outage_and_power(cfg)[1]
-
-
-def reference_full_csi_rate(num_users: int, power: float, n_blocks: int, seed: int) -> McEstimate:
-    """MC mean of log(1 + P max_k v_k^2): the non-delayed full-CSI benchmark."""
-    cfg = SimConfig(num_users, power, CorrelationParams(1.0), 0.0, n_blocks, seed)
-
-    def per_block(rng, n):
-        gains = rng.exponential(size=(n, cfg.num_users))
-        return np.log1p(cfg.power * gains.max(axis=1))
-
-    return _aggregate(cfg, per_block)[0]
-
-
-def reference_no_csi_rate(power: float, n_blocks: int, seed: int) -> McEstimate:
-    """MC mean of log(1 + P v^2) for a single unconditioned user."""
-    cfg = SimConfig(1, power, CorrelationParams(0.0), 0.0, n_blocks, seed)
-
-    def per_block(rng, n):
-        return np.log1p(cfg.power * rng.exponential(size=n))
-
-    return _aggregate(cfg, per_block)[0]

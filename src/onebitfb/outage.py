@@ -21,8 +21,6 @@ __all__ = [
     "PowerMode",
     "OutageConfig",
     "OutageReport",
-    "DmtPoint",
-    "DmtCurve",
     "DMT_SCHEMES",
     "outage_instant",
     "zero_outage_threshold",
@@ -116,18 +114,6 @@ class OutageReport:
     eps0: float
     p1: float
     p0: float
-
-
-@dataclass(frozen=True)
-class DmtPoint:
-    r: float
-    d: float
-
-
-@dataclass(frozen=True)
-class DmtCurve:
-    scheme: str
-    points: tuple[DmtPoint, ...]
 
 
 def _snr_for(rate_nats: float) -> float:
@@ -290,18 +276,15 @@ def outage_instant(cfg: OutageConfig) -> OutageReport:
     return outage_outdated(replace(cfg, corr=CorrelationParams(1.0)))
 
 
-def dmt_analytic(scheme: str, num_users: int, n_points: int = 11) -> DmtCurve:
-    """Piecewise-linear DMT curve d(r) = d0 * (1 - r)^+ sampled on [0, 1]."""
+def dmt_analytic(scheme: str, num_users: int) -> list[tuple[float, float]]:
+    """The DMT curve d(r) = d0 * (1 - r) as (r, d) pairs at r = 0, 0.1, ..., 1."""
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
     if scheme not in _DMT_INTERCEPTS:
         raise ValueError(f"unknown DMT scheme {scheme!r}")
-    if n_points < 2:
-        raise ValueError("n_points must be >= 2")
     per_user, fixed = _DMT_INTERCEPTS[scheme]
     d0 = float(per_user * num_users + fixed)
-    rs = [i / (n_points - 1) for i in range(n_points)]
-    return DmtCurve(scheme, tuple(DmtPoint(r, d0 * max(0.0, 1.0 - r)) for r in rs))
+    return [(i / 10, d0 * (1.0 - i / 10)) for i in range(11)]
 
 
 def dmt_empirical_slope(eps_fn, r: float, p_lo: float, p_hi: float) -> float:

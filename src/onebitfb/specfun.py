@@ -64,7 +64,7 @@ def expx_e1(x):
     6.11.2).  Below 50, hyperu is good only to about 2e-11.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    if not (x > 0).all():  # NaN fails it too
         raise ValueError("expx_e1 requires x > 0")
     out = np.empty_like(x)
     # Masked rather than np.where: exp(x) * exp1(x) is inf * 0 past x = 709.

@@ -265,6 +265,7 @@ class TestRejectedInputs:
             (("figure", "fig4", "--snr-db", "3"), "--snr-db"),
             (("figure", "fig5", "--snr-db", "3"), "--snr-db"),
             (("figure", "fig5", "--rate-bits", "9"), "--rate-bits"),
+            (("figure", "fig3", "--seed", "1"), "--seed"),
         ],
     )
     def test_flags_a_figure_does_not_read(self, capsys, argv, flag):
@@ -285,8 +286,8 @@ class TestRejectedInputs:
 
     def test_figure_reads_its_own_flags(self, capsys, tmp_path):
         out = str(tmp_path / "f5.csv")
-        assert exit_status(capsys, "figure", "fig5", "--k", "4", "--seed", "1",
-                           "--out", out, "--format", "csv")[0] == 0
+        assert exit_status(capsys, "figure", "fig5", "--k", "4", "--out", out,
+                           "--format", "csv")[0] == 0
 
     @pytest.mark.parametrize("alpha", ["1", "suboptimal:1"])
     def test_wideband_snr_needs_optimal_alpha(self, capsys, alpha):
@@ -327,6 +328,16 @@ class TestRejectedInputs:
               "--power-mode", "short-term"), 3, "rate_nats"),
             (("outage", "--k", "4", "--rho", "0.5", "--rate-bits", "1", "--alpha", "1.7e308",
               "--power-mode", "short-term"), 3, "alpha"),
+            (("figure", "fig1", "--snr-db", "nan"), 2, "power"),
+            # rho has one source: one Jakes flag alone, or one with --rho or a rho sweep, is
+            # rejected rather than resolved to rho = 1 or to --rho.
+            (("ergodic", "--doppler-hz", "50"), 2, "--delay-s"),
+            (("outage", "--delay-s", "0.001", "--rate-bits", "1"), 2, "--doppler-hz"),
+            (("wideband", "--rho", "0.5", "--doppler-hz", "50", "--delay-s", "0.001"), 2, "--rho"),
+            (("simulate", "--rho", "1", "--delay-s", "0.001", "--n-blocks", "10"), 2,
+             "--doppler-hz"),
+            (("outage", "--doppler-hz", "50", "--delay-s", "0.001", "--rate-bits", "1",
+              "--sweep", "rho=0:0.9:3"), 2, "--sweep"),
         ],
     )
     def test_messages_name_the_argument(self, capsys, argv, code, name):
@@ -418,7 +429,7 @@ _NAMES = [f"--{f}" for f in cli._FLAGS] + [
 
 def _own_flags(command):
     if command.startswith("figure"):
-        return [f.replace("_", "-") for f in cli._FIGURES[command.split()[1]][1]] + ["seed"]
+        return [f.replace("_", "-") for f in cli._FIGURES[command.split()[1]][1]]
     return [f for f in cli._COMMANDS[command].flags if f != "n-blocks"]
 
 

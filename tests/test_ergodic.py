@@ -10,11 +10,9 @@ from onebitfb.ergodic import (
     ErgodicConfig,
     ThresholdPolicy,
     affine_rate_approx,
-    degradation_estimate,
     ebn0_db_from_power,
     ergodic_report,
     full_csi_rate,
-    multiplexing_gain_bounds,
     no_csi_rate,
     optimal_threshold,
     prob_some_above,
@@ -174,10 +172,6 @@ class TestBounds:
         # the two asymptotic terms are symmetric, so the bracket is exactly 1
         assert rate_bracket(math.log(1e8) - 2.0, CorrelationParams(0.5), asymptotic=True) == 1.0
 
-    def test_multiplexing_bounds_ordered(self):
-        lo, hi = multiplexing_gain_bounds(1.5, 8, CorrelationParams(0.9))
-        assert 0.0 <= lo <= hi <= 1.0
-
 
 class TestThresholds:
     def test_suboptimal(self):
@@ -327,13 +321,6 @@ class TestWideband:
 
 
 class TestDiagnostics:
-    def test_degradation_estimate(self):
-        assert degradation_estimate(CorrelationParams(0.5)) == pytest.approx(
-            2 * math.log(0.5)
-        )
-        with pytest.raises(ValueError):
-            degradation_estimate(CorrelationParams(0.0))
-
     def test_scaling_ratio_moderate(self):
         # multiuser-diversity scaling: rate at the optimal threshold over log log K
         c = CorrelationParams(1.0)
@@ -358,3 +345,20 @@ class TestReferences:
     def test_no_csi_validation(self):
         with pytest.raises(ValueError):
             no_csi_rate(0.0)
+
+    @pytest.mark.parametrize(
+        "fn,args,name",
+        [
+            (full_csi_rate, (0, 10.0), "num_users"),
+            (full_csi_rate, (4, math.nan), "power"),
+            (full_csi_rate, (4, -1.0), "power"),
+            (full_csi_rate, (4, math.inf), "power"),
+            (no_csi_rate, (math.nan,), "power"),
+            (no_csi_rate, (math.inf,), "power"),
+            (expx_e1, (math.nan,), "x"),
+            (expx_e1, (np.array([1.0, math.nan]),), "x"),
+        ],
+    )
+    def test_bad_input_is_named(self, fn, args, name):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            fn(*args)

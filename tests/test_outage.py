@@ -209,25 +209,21 @@ class TestOutdated:
 
 class TestDmt:
     def test_analytic_intercepts(self):
-        assert dmt_analytic("longterm_1bit", 16).points[0].d == 32.0
-        assert dmt_analytic("shortterm_1bit", 16).points[0].d == 16.0
-        assert dmt_analytic("full_csi", 16).points[0].d == 16.0
-        assert dmt_analytic("outdated_1bit", 16).points[0].d == 1.0
-        assert dmt_analytic("no_csi", 16).points[0].d == 1.0
-        assert dmt_analytic("p2p_1bit", 16).points[0].d == 2.0
+        assert dmt_analytic("longterm_1bit", 16)[0][1] == 32.0
+        assert dmt_analytic("shortterm_1bit", 16)[0][1] == 16.0
+        assert dmt_analytic("full_csi", 16)[0][1] == 16.0
+        assert dmt_analytic("outdated_1bit", 16)[0][1] == 1.0
+        assert dmt_analytic("no_csi", 16)[0][1] == 1.0
+        assert dmt_analytic("p2p_1bit", 16)[0][1] == 2.0
 
     def test_analytic_shape(self):
-        curve = dmt_analytic("longterm_1bit", 2, n_points=5)
-        rs = [pt.r for pt in curve.points]
-        ds = [pt.d for pt in curve.points]
-        assert rs == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
-        assert ds == pytest.approx([4.0, 3.0, 2.0, 1.0, 0.0])
+        curve = dmt_analytic("longterm_1bit", 2)
+        assert [r for r, _ in curve] == pytest.approx([0.1 * i for i in range(11)])
+        assert [d for _, d in curve] == pytest.approx(
+            [4.0, 3.6, 3.2, 2.8, 2.4, 2.0, 1.6, 1.2, 0.8, 0.4, 0.0])
         with pytest.raises(ValueError):
             dmt_analytic("bogus", 2)
         assert "longterm_1bit" in DMT_SCHEMES
-        for n_points in (0, 1):
-            with pytest.raises(ValueError, match="n_points"):
-                dmt_analytic("longterm_1bit", 2, n_points=n_points)
 
     def test_empirical_matches_analytic(self):
         for k in (1, 2):
