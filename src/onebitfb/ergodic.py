@@ -13,9 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as sc
 
 from .channel import CorrelationParams, DegenerateCorrelationError
-from .specfun import QuadratureSpec, expx_e1, integrate_semi_infinite, marcum_q1, marcum_q1_asymptotic
+from .specfun import (QuadratureSpec, expx_e1, expx_expn, integrate_semi_infinite, marcum_q1,
+                      marcum_q1_asymptotic)
 
 __all__ = [
     "ErgodicConfig",
@@ -44,8 +46,13 @@ _3DB = 10.0 * math.log10(2.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # The conditional density's Marcum-Q factor is about exp(-alpha (1 - rho^2)) at
 # its peak and smaller toward z = 0, where marcum_q1 loses relative accuracy
-# below 1e-60: sum_rate holds 1e-12 up to this product, and is 9-25% low at 200-500.
+# below 1e-60: the quadrature holds 1e-12 up to this product, and is 9-25% low at 200-500.
 _MAX_ALPHA_DECORRELATION = 60.0
+# Past this many terms of its mixture series sum_rate integrates instead.  The
+# series needs about (alpha + 39)/(1 - rho^2) terms, so this is rho = 0.995 at
+# small alpha, where the series and the quadrature each take about 1 ms.
+_MAX_TERMS = 4000
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -159,15 +166,30 @@ def conditional_pdf_vtau(z, alpha: float, c: CorrelationParams):
 def sum_rate(cfg: ErgodicConfig, quad: QuadratureSpec | None = None) -> float:
     """Ergodic sum-rate (nats) of the 1-bit scheme with outdated feedback.
 
-    Pr(N>0) times E[log(1 + P v_tau^2) | v^2 >= alpha], the integral of
-    log(1 + P z^2) against :func:`conditional_pdf_vtau`.  rho = 0 and
-    |rho| = 1 use their exact specializations.
+    Pr(N>0) times E[log(1 + P v_tau^2) | v^2 >= alpha].  rho = 0 and
+    |rho| = 1 use their exact specializations.  Otherwise, with r = rho^2,
+    c = 1 - r and b = 1/(P c), the squared envelopes are Kibble's
+    bivariate gamma pair, a mixture over n of independent Gamma(n+1, c)
+    pairs with weights c r^n (Kibble 1941), so
+
+        rate = Pr(N>0) sum_n w_n I_n,  w_n = e^alpha c r^n Q(n+1, alpha/c),
+        I_n = E[log(1 + c P G_{n+1})] = sum_{j<=n} e^b E_{j+1}(b)
+
+    with Q the regularized upper incomplete gamma function, G_{n+1} a
+    Gamma(n+1, 1) variable and the last step Gradshteyn-Ryzhik 3.383.10.
+    Every term is positive, so nothing cancels.  The sum stops at
+    n_max = ceil(y + 10 sqrt(y+1) + ln(1e-17)/ln r), y = alpha/c, and
+    ``quad`` is not used.  When n_max passes ``_MAX_TERMS`` (rho above
+    about 0.995) the rate is instead the integral of log1p(P z^2) against
+    :func:`conditional_pdf_vtau` to the tolerances of ``quad``; it raises
+    ``OverflowError`` naming alpha once alpha (1 - rho^2) > 60.
     """
-    return _sum_rate(cfg, quad, conditional_pdf_vtau)
+    return _sum_rate(cfg, quad, conditional_pdf_vtau, _mixture_weights)
 
 
-def _sum_rate(cfg: ErgodicConfig, quad: QuadratureSpec | None, density) -> float:
-    """:func:`sum_rate` with ``density(z, alpha, corr)`` in place of :func:`conditional_pdf_vtau`."""
+def _sum_rate(cfg: ErgodicConfig, quad: QuadratureSpec | None, density, weights) -> float:
+    """:func:`sum_rate` with ``density(z, alpha, corr)`` in place of :func:`conditional_pdf_vtau`
+    and ``weights(alpha, corr)`` in place of :func:`_mixture_weights`."""
     prob = prob_some_above(cfg.threshold, cfg.num_users)
     power, alpha, corr = cfg.power, cfg.threshold, cfg.corr
     if corr.rho == 0.0:
@@ -177,6 +199,10 @@ def _sum_rate(cfg: ErgodicConfig, quad: QuadratureSpec | None, density) -> float
         # The truncated exponential law integrated by parts.
         return prob * (math.log1p(alpha * power) + expx_e1(alpha + 1.0 / power))
     r = corr.abs_rho
+    mix = weights(alpha, corr)
+    if mix is not None:
+        gains = np.cumsum(expx_expn(len(mix), 1.0 / (power * (1.0 - r * r))))
+        return prob * float(np.dot(mix, gains))
     if alpha * (1.0 - r * r) > _MAX_ALPHA_DECORRELATION:
         raise OverflowError(f"alpha = {alpha:.6g} is too large at rho = {corr.rho:.6g}: the "
                             f"rate needs alpha (1 - rho^2) <= {_MAX_ALPHA_DECORRELATION:g}")
@@ -191,6 +217,37 @@ def _sum_rate(cfg: ErgodicConfig, quad: QuadratureSpec | None, density) -> float
     w = 8.0 * math.sqrt(1.0 - r * r) / (math.sqrt(2.0) * r)
     edges = (z0 - w, z0 + w) if w < z0 else ()
     return prob * integrate_semi_infinite(integrand, 0.0, quad, breakpoints=edges)
+
+
+def _mixture_weights(alpha: float, corr: CorrelationParams):
+    """The weights w_n of the series in :func:`sum_rate`, or None past ``_MAX_TERMS`` terms.
+
+    They do not depend on P.  Taken in log space, since e^alpha overflows
+    past alpha = 709; where Q(n+1, y) underflows, far below the mean of a
+    Poisson(y) count, it is that count's CDF summed from its log pmf.  They
+    are the law of the mixture index given v^2 >= alpha, so they sum to 1
+    but for the truncated 1e-17: dividing by their sum cancels the rounding
+    they share, which at alpha = 300-760 puts the rate 2e-15 instead of 8e-14
+    from a Rician-mixture quadrature.
+    """
+    if corr.is_instantaneous:
+        return None
+    r = corr.abs_rho ** 2
+    c = 1.0 - r
+    y = alpha / c
+    log_r = math.log(r) if r > 0.0 else -math.inf  # rho^2 underflows below rho = 1.5e-162
+    n_max = y + 10.0 * math.sqrt(y + 1.0) + math.log(1e-17) / log_r
+    if not n_max <= _MAX_TERMS:  # NaN alpha too: ErgodicConfig names it
+        return None
+    n = np.arange(math.ceil(n_max) + 1.0)
+    q = sc.gammaincc(n + 1.0, y)
+    log_q = np.log(np.maximum(q, _TINY))
+    low = q < _TINY
+    if low.any():
+        log_pmf = sc.xlogy(n, y) - y - sc.gammaln(n + 1.0)
+        log_q[low] = np.logaddexp.accumulate(log_pmf)[low]
+    w = np.exp(alpha + math.log(c) + sc.xlogy(n, r) + log_q)
+    return w / w.sum()
 
 
 def sum_rate_upper(cfg: ErgodicConfig) -> float:
@@ -330,14 +387,17 @@ def rate_at_ebn0(
 
     Zero rate at or below Eb/N0_min.  Above it, P / R_bits(P) rises with P:
     bisect in log P to width 1e-12, from [ln 1e-10, 0] with the upper end
-    raised by 4 until it brackets the target.  The density does not depend
-    on P and every panel is a bisection of the same first segments, so it
+    raised by 4 until it brackets the target.  The mixture weights of
+    :func:`sum_rate` do not depend on P, so they are computed once per call.
+    Where the rate is a quadrature instead, the density does not depend on P
+    either and every panel is a bisection of the same first segments, so it
     is evaluated once per distinct set of nodes and kept for this call only.
     """
     if not math.isfinite(ebn0_db):
         raise ValueError("ebn0_db must be finite")
     if ebn0_db <= wideband_metrics(alpha, num_users, corr).ebn0_min_db:
         return 0.0, 0.0
+    weights = _mixture_weights(alpha, corr)
     memo = {}
 
     def density(z, a, c):
@@ -348,7 +408,8 @@ def rate_at_ebn0(
 
     def point(log_power: float) -> tuple[float, float]:
         power = math.exp(log_power)
-        return _sum_rate(ErgodicConfig(num_users, power, corr, alpha), quad, density), power
+        cfg = ErgodicConfig(num_users, power, corr, alpha)
+        return _sum_rate(cfg, quad, density, lambda a, c: weights), power
 
     lo, up = math.log(1e-10), 0.0
     best = point(up)
@@ -389,7 +450,13 @@ def full_csi_rate(num_users: int, power: float, quad: QuadratureSpec | None = No
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
             log_pdf = np.log(num_users) + (num_users - 1) * np.log1p(-np.exp(-x)) - x
-        return np.log1p(power * x) * np.exp(log_pdf)
+        with np.errstate(over="ignore"):
+            px = power * x
+        gain = np.log1p(px)
+        # Where P x overflows, log(1 + P x) is log P + log x to rounding.
+        big = np.isinf(px)
+        gain[big] = math.log(power) + np.log(x[big])
+        return gain * np.exp(log_pdf)
 
     return integrate_semi_infinite(integrand, 0.0, quad)
 

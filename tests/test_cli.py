@@ -296,16 +296,42 @@ class TestRejectedInputs:
         assert code == 2
         assert "--snr-db" in err
 
-    @pytest.mark.parametrize("alpha", ["705", "709", "710", "745", "760", "1e6"])
-    def test_large_fixed_alpha_is_a_named_failure(self, capsys, alpha):
-        # alpha (1 - rho^2) > 60: the Marcum-Q factor of the conditional
+    @pytest.mark.parametrize("rho,alpha", [("0.5", "1e6"), ("0.999", "4e4")],
+                             ids=["1e6", "rho0.999"])
+    def test_large_fixed_alpha_is_a_named_failure(self, capsys, rho, alpha):
+        # Past the series' term cap the rate is a quadrature, and with
+        # alpha (1 - rho^2) > 60 the Marcum-Q factor of the conditional
         # density is below what chndtr resolves where the density lives.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, err = exit_status(capsys, "ergodic", "--k", "4", "--rho", "0.5",
+            code, err = exit_status(capsys, "ergodic", "--k", "4", "--rho", rho,
                                     "--alpha", alpha)
         assert code == 3
         assert "alpha" in err
+
+    def test_subnormal_power_is_zero_rate(self, capsys, tmp_path):
+        # 1/P overflows to inf, where e^x E_m(x) is its limit 0 (hyperu gave NaN).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = exit_status(capsys, "figure", "fig1", "--snr-db", "-3200",
+                                  "--out", str(tmp_path / "f.csv"))
+        assert code == 0
+        for series in ("no_csi", "onebit_rho1.0", "onebit_rho0.9", "onebit_rho0.5"):
+            _, rows = parse_csv((tmp_path / f"f_{series}.csv").read_text())
+            rates = [float(r["rate_nats"]) for r in rows]
+            assert len(rates) == 10 and all(0.0 <= x < 1e-300 for x in rates), series
+
+    def test_power_near_float_limit_is_named(self, capsys, tmp_path):
+        # The full-CSI rate is finite where P x overflows; the 1-bit rate then
+        # needs P (1 + alpha), which overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = exit_status(capsys, "figure", "fig1", "--snr-db", "3080",
+                                    "--out", str(tmp_path / "f.csv"))
+        assert code == 3
+        assert "power" in err
+        _, rows = parse_csv((tmp_path / "f_full_csi.csv").read_text())
+        assert all(math.isfinite(float(r["rate_nats"])) for r in rows)
 
     @pytest.mark.parametrize(
         "argv,code,name",

@@ -97,10 +97,13 @@ class TestSumRate:
         got = sum_rate(ErgodicConfig(k, power, CorrelationParams(rho), alpha), TIGHT)
         assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("rho,alpha", [(0.9, 300.0), (0.5, 79.0)])
-    def test_large_alpha_matches_rician_mixture(self, rho, alpha):
+    @pytest.mark.parametrize("rho,alpha", [(0.9, 300.0), (0.5, 79.0), (0.5, 81.0), (0.5, 300.0),
+                                           (0.3, 500.0), (0.5, 705.0), (0.5, 709.0),
+                                           (0.5, 710.0), (0.5, 745.0), (0.5, 760.0)])
+    def test_large_alpha_matches_rician_mixture(self, rho, alpha, monkeypatch):
         # Given v^2 = alpha + t, t ~ Exp(1), v_tau is Rician with
-        # nu = rho sqrt(alpha + t) and sigma^2 = (1 - rho^2)/2.
+        # nu = rho sqrt(alpha + t) and sigma^2 = (1 - rho^2)/2.  Pr(N>0) is
+        # set to 1: it underflows to 0 past alpha = 745.
         power, var = 100.0, (1.0 - rho * rho) / 2.0
 
         def given_t(t):
@@ -116,19 +119,56 @@ class TestSumRate:
 
         want = integrate.quad(lambda t: math.exp(-t) * given_t(t), 0.0, 60.0,
                               epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        monkeypatch.setattr(ergodic, "prob_some_above", lambda alpha, k: 1.0)
         cfg = ErgodicConfig(4, power, CorrelationParams(rho), alpha)
-        assert sum_rate(cfg, TIGHT) / prob_some_above(alpha, 4) == pytest.approx(want, rel=1e-12)
+        assert sum_rate(cfg, TIGHT) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("alpha", [81.0, 709.0, 1e6])
-    def test_alpha_past_marcum_reach_is_named(self, alpha):
-        # alpha (1 - rho^2) > 60 at rho = 0.5.
+    # 1e6 needs more mixture terms than the series takes at any rho, and
+    # rho = 0.999 more at every alpha: both integrate, where the Marcum-Q
+    # factor is out of reach once alpha (1 - rho^2) > 60.
+    @pytest.mark.parametrize("rho,alpha", [(0.5, 1e6), (0.999, 4e4)], ids=["1000000.0", "rho0.999"])
+    def test_alpha_past_marcum_reach_is_named(self, rho, alpha):
         with pytest.raises(OverflowError, match="alpha"):
-            sum_rate(ErgodicConfig(4, 100.0, CorrelationParams(0.5), alpha))
+            sum_rate(ErgodicConfig(4, 100.0, CorrelationParams(rho), alpha))
+
+    @pytest.mark.parametrize("k,snr_db,rho,alpha", [
+        (4, -25.0, 0.1, 1.0), (4, 20.0, 0.9, 0.5), (16, 60.0, 0.5, 2.0), (64, 0.0, 0.99, 3.5),
+        (64, 10.0, 0.7, 2.8), (256, 40.0, 0.97, 5.0), (1024, -10.0, 0.3, 6.0),
+        (1024, 20.0, 0.5, 5.3), (1024, 60.0, 0.99, 7.0), (100, -5.0, 0.995, 0.3),
+    ])
+    def test_series_matches_split_quadrature(self, k, snr_db, rho, alpha):
+        # Below the term cap the rate is the mixture series; the reference is
+        # scipy's quad of the defining integral, split at the Marcum-Q step.
+        corr, power = CorrelationParams(rho), 10.0 ** (snr_db / 10.0)
+        assert ergodic._mixture_weights(alpha, corr) is not None
+        s = math.sqrt(1.0 - rho * rho)
+
+        def f(z):
+            q = marcum_q1(math.sqrt(2.0) * rho / s * z, math.sqrt(2.0 * alpha) / s)
+            return math.log1p(power * z * z) * 2.0 * z * math.exp(alpha - z * z) * q
+
+        z0, width, top = math.sqrt(alpha) / rho, s / (math.sqrt(2.0) * rho), math.sqrt(alpha + 60.0)
+        cuts = sorted({0.0, top} | {z for z in (z0 - 40.0 * width, z0, z0 + 40.0 * width)
+                                    if 0.0 < z < top})
+        want = prob_some_above(alpha, k) * sum(
+            integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+            for a, b in zip(cuts, cuts[1:])
+        )
+        assert sum_rate(ErgodicConfig(k, power, corr, alpha)) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [1e-300, 1e-160, -1e-300])
+    def test_rho_squared_underflow_is_rho_zero(self, rho):
+        # rho^2 is 0 below rho = 1.5e-162 and subnormal just above.
+        cfg = ErgodicConfig(4, 10.0, CorrelationParams(rho), 1.0)
+        want = sum_rate(ErgodicConfig(4, 10.0, CorrelationParams(0.0), 1.0))
+        assert sum_rate(cfg) == pytest.approx(want, rel=1e-15)
 
     def test_alpha_zero_single_user_is_no_csi(self):
-        for rho in (0.0, 0.5, 1.0):
-            cfg = ErgodicConfig(1, 20.0, CorrelationParams(rho), 0.0)
-            assert sum_rate(cfg) == pytest.approx(no_csi_rate(20.0), rel=1e-9)
+        # The series at alpha = 0 sums geometric weights c r^n to e^{1/P} E1(1/P).
+        for rho in (0.0, 0.3, 0.5, 0.9, 0.99, 0.995, 1.0):
+            for power in (1e-3, 20.0, 1e6):
+                cfg = ErgodicConfig(1, power, CorrelationParams(rho), 0.0)
+                assert sum_rate(cfg) == pytest.approx(no_csi_rate(power), rel=1e-14)
 
     def test_monotone_in_power(self):
         c = CorrelationParams(0.8)
@@ -283,9 +323,9 @@ class TestWideband:
         got = [rate_at_ebn0(*arg) for arg in args]
         assert got == [bisect(*arg) for arg in args]
 
-    def test_inversion_evaluates_each_node_once(self, monkeypatch):
-        # The density does not depend on P: one inversion needs it at each of
-        # about 300 distinct nodes, where a fresh sum_rate per step needed 13,000.
+    @staticmethod
+    def _marcum_elements(monkeypatch, rho):
+        """Marcum-Q elements one fig2-tolerance inversion evaluates at K=100, alpha=3."""
         elements = []
 
         def counting(a, b):
@@ -294,9 +334,19 @@ class TestWideband:
             return out
 
         monkeypatch.setattr(ergodic, "marcum_q1", counting)
-        c = CorrelationParams(0.9)
+        c = CorrelationParams(rho)
         rate_at_ebn0(wideband_metrics(3.0, 100, c).ebn0_min_db + 3.0, 100, c, 3.0, FIG2_QUAD)
-        assert 0 < sum(elements) <= 1000
+        return sum(elements)
+
+    def test_inversion_evaluates_each_node_once(self, monkeypatch):
+        # Above the series' term cap the rate is a quadrature, and the density
+        # does not depend on P: one inversion needs it at each of about 300
+        # distinct nodes, where a fresh sum_rate per step needs 13,000.
+        assert ergodic._mixture_weights(3.0, CorrelationParams(0.999)) is None
+        assert 0 < self._marcum_elements(monkeypatch, 0.999) <= 1000
+
+    def test_inversion_below_cap_evaluates_no_marcum(self, monkeypatch):
+        assert self._marcum_elements(monkeypatch, 0.9) == 0
 
     def test_inversion_no_csi_closed_form(self):
         # K=1, rho=0, alpha=0: R(P) = e^{1/P} E1(1/P), so the point must
@@ -341,6 +391,18 @@ class TestReferences:
 
     def test_full_csi_single_user_is_no_csi(self):
         assert full_csi_rate(1, 30.0) == pytest.approx(no_csi_rate(30.0), rel=1e-9)
+
+    @pytest.mark.parametrize("power", [1e300, 1e308, 1.7e308])
+    def test_full_csi_near_float_limit(self, power):
+        # P x overflows where the density of max_k v_k^2 is far from 0.
+        k = 4
+
+        def f(x):
+            pdf = k * (-math.expm1(-x)) ** (k - 1) * math.exp(-x)
+            return (math.log(power) + math.log(x) + math.log1p(1.0 / (power * x))) * pdf
+
+        want = integrate.quad(f, 0.0, 60.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        assert full_csi_rate(k, power) == pytest.approx(want, rel=1e-9)
 
     def test_no_csi_validation(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from scipy import special
 
+from onebitfb import specfun
 from onebitfb.specfun import (
     ConvergenceError,
     QuadratureSpec,
     expx_e1,
+    expx_expn,
     integrate_semi_infinite,
     marcum_q1,
     marcum_q1_asymptotic,
@@ -185,6 +187,56 @@ class TestScalars:
     def test_expx_e1_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             expx_e1(0.0)
+
+    def test_expx_e1_limit_at_infinity(self):
+        # 1/P for a subnormal power; hyperu(1, 1, inf) is NaN.
+        assert expx_e1(math.inf) == 0.0
+        assert np.array_equal(expx_e1(np.array([math.inf, 1e300])), [0.0, 1e-300])
+
+
+def _expx_expn_reference(m: int, x: float, dps: int) -> mpmath.mpf:
+    """e^x E_m(x) = int_0^inf e^{-x s} (1+s)^{-m} ds, by mpmath quadrature at ``dps`` digits.
+
+    mpmath's own expint(m, x) is no reference here: at 30 digits it gives
+    -0.063 for m = 75, x = 100, and at 80 digits 5e197 for m = 500, x = 709.
+    """
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        s = 1 / (x + m)  # the scale of the integrand's decay
+        return mpmath.quad(lambda u: mpmath.exp(-x * u) * (1 + u) ** -m,
+                           [0, s, 4 * s, 16 * s, 64 * s, mpmath.inf])
+
+
+class TestExpxExpn:
+    # Past m = 50, scipy's expn stops its asymptotic series early where a
+    # coefficient vanishes: at m = 2x it is 1.3e-7 off at x = 50 and 4e-7 at x = 30.
+    @pytest.mark.parametrize("x", [1e-3, 0.37, 1.0, 7.5, 25.5, 30.0, 50.0, 50.5, 100.0, 709.0,
+                                   1e3, 1e6, 1e10])
+    def test_matches_mpmath(self, x):
+        got = expx_expn(2000, x)
+        for m in (1, 3, 50, 51, 60, 75, 100, 500, 2000):
+            want = _expx_expn_reference(m, x, 20)
+            with mpmath.workdps(30):
+                assert abs(want / _expx_expn_reference(m, x, 30) - 1) < 1e-16
+            assert got[m - 1] == pytest.approx(float(want), rel=1e-14), (m, x)
+
+    def test_recurrence_and_limits(self):
+        for x in (1e-300, 1e-8, 2.0, 49.99, 50.01, 1e300):
+            j = expx_expn(3000, x)
+            m = np.arange(1.0, 3000.0)
+            assert np.all(j > 0.0) and np.all(np.diff(j) <= 0.0)
+            assert np.max(np.abs(m * j[1:] + x * j[:-1] - 1.0)) < 2e-14
+        assert np.array_equal(expx_expn(5, math.inf), np.zeros(5))
+
+    def test_fraction_cap_is_a_named_failure(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_CF_MAX_ITER", 3)
+        with pytest.raises(ConvergenceError, match="continued fraction"):
+            expx_expn(10, 60.0)
+
+    @pytest.mark.parametrize("orders,x", [(0, 1.0), (3, 0.0), (3, -1.0), (3, math.nan)])
+    def test_bad_input_is_named(self, orders, x):
+        with pytest.raises(ValueError, match="expx_expn"):
+            expx_expn(orders, x)
 
 
 class TestQuadrature:
