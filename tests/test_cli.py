@@ -296,8 +296,8 @@ class TestRejectedInputs:
         assert code == 2
         assert "--snr-db" in err
 
-    @pytest.mark.parametrize("rho,alpha", [("0.5", "1e6"), ("0.999", "4e4")],
-                             ids=["1e6", "rho0.999"])
+    @pytest.mark.parametrize("rho,alpha", [("0.5", "1e6"), ("0.93", "709"), ("0.999", "4e4")],
+                             ids=["1e6", "709", "rho0.999"])
     def test_large_fixed_alpha_is_a_named_failure(self, capsys, rho, alpha):
         # Past the series' term cap the rate is a quadrature, and with
         # alpha (1 - rho^2) > 60 the Marcum-Q factor of the conditional

@@ -123,10 +123,12 @@ class TestSumRate:
         cfg = ErgodicConfig(4, power, CorrelationParams(rho), alpha)
         assert sum_rate(cfg, TIGHT) == pytest.approx(want, rel=1e-12)
 
-    # 1e6 needs more mixture terms than the series takes at any rho, and
-    # rho = 0.999 more at every alpha: both integrate, where the Marcum-Q
-    # factor is out of reach once alpha (1 - rho^2) > 60.
-    @pytest.mark.parametrize("rho,alpha", [(0.5, 1e6), (0.999, 4e4)], ids=["1000000.0", "rho0.999"])
+    # 1e6 needs more mixture terms than the series takes at any rho, 709 at
+    # rho = 0.93 (about 5,300), and rho = 0.999 more at every alpha: all
+    # integrate, where the Marcum-Q factor is out of reach once
+    # alpha (1 - rho^2) > 60.
+    @pytest.mark.parametrize("rho,alpha", [(0.5, 1e6), (0.93, 709.0), (0.999, 4e4)],
+                             ids=["1000000.0", "709.0", "rho0.999"])
     def test_alpha_past_marcum_reach_is_named(self, rho, alpha):
         with pytest.raises(OverflowError, match="alpha"):
             sum_rate(ErgodicConfig(4, 100.0, CorrelationParams(rho), alpha))
