@@ -16,17 +16,12 @@ from scipy import special as sc
 __all__ = [
     "CorrelationParams",
     "JakesParams",
-    "DegenerateCorrelationError",
     "rho_from_jakes",
 ]
 
 # Treat |rho| this close to 1 as exact instantaneous feedback; the outdated
 # closed forms divide by 1 - rho^2 and lose all precision before this point.
 RHO_ONE_TOL = 1e-9
-
-
-class DegenerateCorrelationError(ValueError):
-    """|rho| = 1: the joint density degenerates, use the instantaneous forms."""
 
 
 @dataclass(frozen=True)

@@ -388,32 +388,31 @@ def _figure1(args):
     _rate_series(args, "fig1", "full_csi", "k", ks, lambda k: ergodic.full_csi_rate(k, power, quad))
     for rho in (1.0, 0.9, 0.5):
         _rate_series(args, "fig1", f"onebit_rho{rho}", "k", ks,
-                     lambda k: _opt_rate(k, power, rho, quad))
+                     lambda k: _opt_rate(k, power, rho))
     _rate_series(args, "fig1", "no_csi", "k", ks, lambda k: ergodic.no_csi_rate(power))
 
 
-def _opt_rate(k: int, power: float, rho: float, quad) -> float:
+def _opt_rate(k: int, power: float, rho: float) -> float:
     corr = channel.CorrelationParams(rho)
-    alpha = ergodic.optimal_threshold(k, power, corr, quad)
-    return ergodic.sum_rate(ergodic.ErgodicConfig(k, power, corr, alpha), quad)
+    alpha = ergodic.optimal_threshold(k, power, corr)
+    return ergodic.sum_rate(ergodic.ErgodicConfig(k, power, corr, alpha))
 
 
 def _figure2(args):
     """Low-SNR spectral efficiency vs Eb/N0 for K users (default 100)."""
-    quad = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
     grid_db = [(-2.0 + 0.5 * i) for i in range(25)]
     for rho in (1.0, 0.9, 0.5):
         corr = channel.CorrelationParams(rho)
-        alpha = ergodic.optimal_threshold(args.k, 1.0, corr, quad)
+        alpha = ergodic.optimal_threshold(args.k, 1.0, corr)
         wb = ergodic.wideband_metrics(alpha, args.k, corr)
         _rate_series(args, "fig2", f"exact_rho{rho}", "ebn0_db", grid_db,
-                     lambda db: ergodic.rate_at_ebn0(db, args.k, corr, alpha, quad)[0])
+                     lambda db: ergodic.rate_at_ebn0(db, args.k, corr, alpha)[0])
         _rate_series(args, "fig2", f"affine_rho{rho}", "ebn0_db", grid_db,
                      lambda db: ergodic.affine_rate_approx(db, wb))
     # no-CSI reference: single user, rho = 0, alpha = 0
     no_fb = channel.CorrelationParams(0.0)
     _rate_series(args, "fig2", "no_csi", "ebn0_db", grid_db,
-                 lambda db: ergodic.rate_at_ebn0(db, 1, no_fb, 0.0, quad)[0])
+                 lambda db: ergodic.rate_at_ebn0(db, 1, no_fb, 0.0)[0])
 
 
 _FIGURE_GRID_DB = [2.0 * i for i in range(21)]

@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
-from .channel import CorrelationParams, DegenerateCorrelationError
-from .specfun import (QuadratureSpec, expx_e1, expx_expn, integrate_semi_infinite, marcum_q1,
-                      marcum_q1_asymptotic)
+from .channel import CorrelationParams
+from .specfun import QuadratureSpec, integrate_semi_infinite, marcum_q1, marcum_q1_asymptotic
 
 __all__ = [
     "ErgodicConfig",
@@ -25,7 +23,6 @@ __all__ = [
     "ThresholdPolicy",
     "WidebandReport",
     "prob_some_above",
-    "conditional_pdf_vtau",
     "sum_rate",
     "sum_rate_upper",
     "sum_rate_lower",
@@ -44,15 +41,11 @@ __all__ = [
 _LOG2 = math.log(2.0)
 _3DB = 10.0 * math.log10(2.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# The conditional density's Marcum-Q factor is about exp(-alpha (1 - rho^2)) at
-# its peak and smaller toward z = 0, where marcum_q1 loses relative accuracy
-# below 1e-60: the quadrature holds 1e-12 up to this product, and is 9-25% low at 200-500.
-_MAX_ALPHA_DECORRELATION = 60.0
-# Past this many terms of its mixture series sum_rate integrates instead.  The
-# series needs about (alpha + 39)/(1 - rho^2) terms, so this is rho = 0.995 at
-# small alpha, where the series and the quadrature each take about 1 ms.
-_MAX_TERMS = 4000
-_TINY = np.finfo(float).tiny
+# The trapezoid rule of the rate integral (see _log1p_mean): its step in ln t,
+# the top of its range in ln t, and the relative size of the terms it drops.
+_STEP = 0.25
+_LOG_T_TOP = math.log(45.0)
+_LOG_TINY = math.log(1e-17)
 
 
 @dataclass(frozen=True)
@@ -116,138 +109,64 @@ class WidebandReport:
     ebn0_min_linear: float
 
 
-def prob_some_above(alpha: float, num_users: int):
+def prob_some_above(alpha: float, num_users: int) -> float:
     """Probability that at least one of K users exceeds the threshold.
 
     1 - (1 - e^{-alpha})^K, computed via log1p/expm1 so the near-1 and
     near-0 regimes keep full relative precision.
     """
-    alpha_arr = np.asarray(alpha, dtype=float)
-    if np.any(alpha_arr < 0):
+    if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
-    with np.errstate(divide="ignore"):
-        out = -np.expm1(num_users * np.log1p(-np.exp(-alpha_arr)))
-    return float(out) if out.ndim == 0 else out
-
-
-def conditional_pdf_vtau(z, alpha: float, c: CorrelationParams):
-    """Density of the transmission-time envelope given the feedback event v^2 >= alpha.
-
-    f(z | v^2 >= alpha) = 2 z exp(-z^2 + alpha)
-                          * Q1(sqrt(2)|rho| z / sqrt(1-rho^2),
-                               sqrt(2 alpha) / sqrt(1-rho^2)).
-
-    Reduces bit-exactly to the unconditional Rayleigh density 2 z exp(-z^2)
-    when alpha = 0 or rho = 0.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    z = np.asarray(z, dtype=float)
-    if alpha == 0.0 or c.rho == 0.0:
-        out = 2.0 * z * np.exp(-z * z)
-        return float(out) if out.ndim == 0 else out
-    if c.is_instantaneous:
-        raise DegenerateCorrelationError(
-            "conditional density requires |rho| < 1; use the truncated "
-            "Rayleigh specialization for instantaneous feedback"
-        )
-    r = c.abs_rho
-    s = math.sqrt(1.0 - r * r)
-    q = marcum_q1(math.sqrt(2.0) * r / s * z, math.sqrt(2.0 * alpha) / s)
-    # exp(alpha - z^2) Q1 <= 1: past alpha = 709, capping the exponent short of
-    # overflow lowers the product only where Q1 < e^-709, instead of giving inf * 0.
-    expo = -z * z + alpha
-    out = 2.0 * z * np.exp(expo if alpha <= 709.0 else np.minimum(expo, 709.0)) * q
-    return float(out) if np.ndim(out) == 0 else out
+    miss = np.exp(-alpha)
+    if miss == 1.0:  # alpha = 0, or too small to move e^-alpha off 1
+        return 1.0
+    return float(-np.expm1(num_users * np.log1p(-miss)))
 
 
 def sum_rate(cfg: ErgodicConfig, quad: QuadratureSpec | None = None) -> float:
     """Ergodic sum-rate (nats) of the 1-bit scheme with outdated feedback.
 
-    Pr(N>0) times E[log(1 + P v_tau^2) | v^2 >= alpha].  rho = 0 and
-    |rho| = 1 use their exact specializations.  Otherwise, with r = rho^2,
-    c = 1 - r and b = 1/(P c), the squared envelopes are Kibble's
-    bivariate gamma pair, a mixture over n of independent Gamma(n+1, c)
-    pairs with weights c r^n (Kibble 1941), so
+    Pr(N>0) times E[log(1 + P v_tau^2) | v^2 >= alpha], for every rho.  Given
+    v^2 >= alpha, v^2 is alpha plus a unit exponential, and v_tau^2 given v^2
+    is noncentral with mean rho^2 v^2 + 1 - rho^2, so the moment generating
+    function of P v_tau^2 is elementary:
 
-        rate = Pr(N>0) sum_n w_n I_n,  w_n = e^alpha c r^n Q(n+1, alpha/c),
-        I_n = E[log(1 + c P G_{n+1})] = sum_{j<=n} e^b E_{j+1}(b)
+        M(t) = exp(-alpha r t P / (1 + c t P)) / (1 + t P),  r = rho^2, c = 1 - r.
 
-    with Q the regularized upper incomplete gamma function, G_{n+1} a
-    Gamma(n+1, 1) variable and the last step Gradshteyn-Ryzhik 3.383.10.
-    Every term is positive, so nothing cancels.  The sum stops at
-    n_max = ceil(y + 10 sqrt(y+1) + ln(1e-17)/ln r), y = alpha/c, and
-    ``quad`` is not used.  When n_max passes ``_MAX_TERMS`` (rho above
-    about 0.995) the rate is instead the integral of log1p(P z^2) against
-    :func:`conditional_pdf_vtau` to the tolerances of ``quad``; it raises
-    ``OverflowError`` naming alpha once alpha (1 - rho^2) > 60.
+    Hamdi's lemma (IEEE Trans. Commun. 58(2), 2010) turns it into one
+    integral with a nonnegative, bounded integrand:
+
+        E[log(1 + P v_tau^2) | v^2 >= alpha] = int_0^inf (1 - M(t)) e^-t dt / t.
+
+    At rho = 0 it is e^{1/P} E1(1/P) and at |rho| = 1 the instantaneous
+    closed form log(1 + alpha P) + e^{alpha + 1/P} E1(alpha + 1/P).
+    ``quad`` is not used: the integral is a fixed trapezoid rule, see
+    :func:`_log1p_mean`.
     """
-    return _sum_rate(cfg, quad, conditional_pdf_vtau, _mixture_weights)
+    r = cfg.corr.rho ** 2
+    shift = cfg.threshold * r
+    return prob_some_above(cfg.threshold, cfg.num_users) * _log1p_mean(cfg.power, shift, 1.0 - r)
 
 
-def _sum_rate(cfg: ErgodicConfig, quad: QuadratureSpec | None, density, weights) -> float:
-    """:func:`sum_rate` with ``density(z, alpha, corr)`` in place of :func:`conditional_pdf_vtau`
-    and ``weights(alpha, corr)`` in place of :func:`_mixture_weights`."""
-    prob = prob_some_above(cfg.threshold, cfg.num_users)
-    power, alpha, corr = cfg.power, cfg.threshold, cfg.corr
-    if corr.rho == 0.0:
-        # Feedback and transmission-time channel are independent.
-        return prob * expx_e1(1.0 / power)
-    if corr.is_instantaneous:
-        # The truncated exponential law integrated by parts.
-        return prob * (math.log1p(alpha * power) + expx_e1(alpha + 1.0 / power))
-    r = corr.abs_rho
-    mix = weights(alpha, corr)
-    if mix is not None:
-        gains = np.cumsum(expx_expn(len(mix), 1.0 / (power * (1.0 - r * r))))
-        return prob * float(np.dot(mix, gains))
-    if alpha * (1.0 - r * r) > _MAX_ALPHA_DECORRELATION:
-        raise OverflowError(f"alpha = {alpha:.6g} is too large at rho = {corr.rho:.6g}: the "
-                            f"rate needs alpha (1 - rho^2) <= {_MAX_ALPHA_DECORRELATION:g}")
+def _log1p_mean(power: float, shift: float, c: float) -> float:
+    """int_0^inf (1 - M(t)) e^-t dt / t, with M(t) = exp(-shift t P / (1 + c t P)) / (1 + t P).
 
-    def integrand(z):
-        return np.log1p(z * z * power) * density(z, alpha, corr)
-
-    # The Marcum-Q factor steps from 0 to 1 at z0 = sqrt(alpha)/|rho| over a
-    # width of about sqrt(1-rho^2)/(sqrt(2)|rho|), which near |rho| = 1 is
-    # narrower than a panel's node spacing: give the step panels of its own.
-    z0 = math.sqrt(alpha) / r
-    w = 8.0 * math.sqrt(1.0 - r * r) / (math.sqrt(2.0) * r)
-    edges = (z0 - w, z0 + w) if w < z0 else ()
-    return prob * integrate_semi_infinite(integrand, 0.0, quad, breakpoints=edges)
-
-
-def _mixture_weights(alpha: float, corr: CorrelationParams):
-    """The weights w_n of the series in :func:`sum_rate`, or None past ``_MAX_TERMS`` terms.
-
-    They do not depend on P.  Taken in log space, since e^alpha overflows
-    past alpha = 709; where Q(n+1, y) underflows, far below the mean of a
-    Poisson(y) count, it is that count's CDF summed from its log pmf.  They
-    are the law of the mixture index given v^2 >= alpha, so they sum to 1
-    but for the truncated 1e-17: dividing by their sum cancels the rounding
-    they share, which at alpha = 300-760 puts the rate 2e-15 instead of 8e-14
-    from a Rician-mixture quadrature.
+    The trapezoid rule with step ``_STEP`` in s = ln t, over t from
+    1e-17 / (e (1 + P (1 + shift))), below which the integrand in s is under
+    1e-17 of its scale, to 45, past which e^-t is.  In s the integrand is
+    analytic for |Im s| < pi/2, so the rule is off by about exp(-pi^2/_STEP),
+    7e-18; every term is nonnegative.  The grid depends on alpha only
+    through ``shift``.
     """
-    if corr.is_instantaneous:
-        return None
-    r = corr.abs_rho ** 2
-    c = 1.0 - r
-    y = alpha / c
-    log_r = math.log(r) if r > 0.0 else -math.inf  # rho^2 underflows below rho = 1.5e-162
-    n_max = y + 10.0 * math.sqrt(y + 1.0) + math.log(1e-17) / log_r
-    if not n_max <= _MAX_TERMS:  # NaN alpha too: ErgodicConfig names it
-        return None
-    n = np.arange(math.ceil(n_max) + 1.0)
-    q = sc.gammaincc(n + 1.0, y)
-    log_q = np.log(np.maximum(q, _TINY))
-    low = q < _TINY
-    if low.any():
-        log_pmf = sc.xlogy(n, y) - y - sc.gammaln(n + 1.0)
-        log_q[low] = np.logaddexp.accumulate(log_pmf)[low]
-    w = np.exp(alpha + math.log(c) + sc.xlogy(n, r) + log_q)
-    return w / w.sum()
+    lo = _LOG_TINY - math.log1p(power * (1.0 + shift)) - 1.0
+    t = np.exp(np.arange(_LOG_T_TOP, lo, -_STEP))
+    with np.errstate(over="ignore"):
+        # Where t P passes 1e300, 1 - M(t) is 1 to rounding either way.
+        tp = np.minimum(t * power, 1e300)
+        log_m = -np.log1p(tp) - shift * tp / (1.0 + c * tp)
+    return _STEP * float(np.dot(-np.expm1(log_m), np.exp(-t)))
 
 
 def sum_rate_upper(cfg: ErgodicConfig) -> float:
@@ -309,14 +228,14 @@ def optimal_threshold(
 
     The rate rises and then falls in alpha, so a golden-section search
     narrows [0, log K + 6] to a bracket of width 1e-4 and returns its
-    midpoint, or exactly 0 when the maximum sits at alpha = 0.
+    midpoint, or exactly 0 when the maximum sits at alpha = 0.  ``quad`` is
+    not used by the 1-bit rate.
     """
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
-    coarse = quad or QuadratureSpec(abs_tol=1e-9, rel_tol=1e-7)
 
     def rate(alpha: float) -> float:
-        return sum_rate(ErgodicConfig(num_users, power, corr, alpha), coarse)
+        return sum_rate(ErgodicConfig(num_users, power, corr, alpha))
 
     lo, up = 0.0, math.log(num_users) + 6.0
     x1, x2 = up - _INV_PHI * (up - lo), lo + _INV_PHI * (up - lo)
@@ -387,29 +306,17 @@ def rate_at_ebn0(
 
     Zero rate at or below Eb/N0_min.  Above it, P / R_bits(P) rises with P:
     bisect in log P to width 1e-12, from [ln 1e-10, 0] with the upper end
-    raised by 4 until it brackets the target.  The mixture weights of
-    :func:`sum_rate` do not depend on P, so they are computed once per call.
-    Where the rate is a quadrature instead, the density does not depend on P
-    either and every panel is a bisection of the same first segments, so it
-    is evaluated once per distinct set of nodes and kept for this call only.
+    raised by 4 until it brackets the target.  Each step is one
+    :func:`sum_rate` call; ``quad`` is not used by the 1-bit rate.
     """
     if not math.isfinite(ebn0_db):
         raise ValueError("ebn0_db must be finite")
     if ebn0_db <= wideband_metrics(alpha, num_users, corr).ebn0_min_db:
         return 0.0, 0.0
-    weights = _mixture_weights(alpha, corr)
-    memo = {}
-
-    def density(z, a, c):
-        key = z.tobytes()
-        if key not in memo:
-            memo[key] = conditional_pdf_vtau(z, a, c)
-        return memo[key]
 
     def point(log_power: float) -> tuple[float, float]:
         power = math.exp(log_power)
-        cfg = ErgodicConfig(num_users, power, corr, alpha)
-        return _sum_rate(cfg, quad, density, lambda a, c: weights), power
+        return sum_rate(ErgodicConfig(num_users, power, corr, alpha)), power
 
     lo, up = math.log(1e-10), 0.0
     best = point(up)
@@ -462,7 +369,10 @@ def full_csi_rate(num_users: int, power: float, quad: QuadratureSpec | None = No
 
 
 def no_csi_rate(power: float) -> float:
-    """Reference rate with no CSI: E[log(1 + P v^2)] = e^{1/P} E1(1/P)."""
+    """Reference rate with no CSI: E[log(1 + P v^2)] = e^{1/P} E1(1/P).
+
+    The 1-bit rate integral at alpha = 0, see :func:`_log1p_mean`.
+    """
     if not 0 < power < math.inf:
         raise ValueError("power must be positive and finite")
-    return expx_e1(1.0 / power)
+    return _log1p_mean(power, 0.0, 1.0)

@@ -2,8 +2,8 @@
 
 Provides the first-order Marcum-Q function (through scipy's noncentral
 chi-square CDF), its large-argument approximation and exponential bounds,
-stable ``exp(x)*E1(x)`` and ``exp(x)*E_m(x)``, and an adaptive semi-infinite
-integrator built on a 15-point Gauss-Kronrod panel rule.
+and an adaptive semi-infinite integrator built on a 15-point Gauss-Kronrod
+panel rule.
 
 All functions are pure and accept scalars or numpy arrays where noted.
 """
@@ -21,8 +21,6 @@ from scipy import special as sc
 __all__ = [
     "QuadratureSpec",
     "ConvergenceError",
-    "expx_e1",
-    "expx_expn",
     "marcum_q1",
     "marcum_q1_asymptotic",
     "marcum_q1_bounds",
@@ -55,85 +53,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-def expx_e1(x):
-    """Stable ``exp(x) * E1(x)`` for x > 0.
-
-    ``exp(x) * exp1(x)`` up to x = 50; above it, where exp overflows by
-    x = 710, scipy's ``hyperu(1, 1, x)``, which equals e^x E1(x) (DLMF
-    6.11.2).  Below 50, hyperu is good only to about 2e-11.  The limit at
-    x = inf is 0.
-    """
-    x = np.asarray(x, dtype=float)
-    if not (x > 0).all():  # NaN fails it too
-        raise ValueError("expx_e1 requires x > 0")
-    out = np.zeros_like(x)
-    # Masked rather than np.where: exp(x) * exp1(x) is inf * 0 past x = 709.
-    small = x <= 50.0
-    large = ~small & (x < math.inf)  # hyperu(1, 1, inf) is NaN
-    out[small] = np.exp(x[small]) * sc.exp1(x[small])
-    out[large] = sc.hyperu(1.0, 1.0, x[large])
-    return float(out) if out.ndim == 0 else out
-
-
-_EPS = np.finfo(float).eps
-# Iteration cap of the continued fraction in expx_expn, which needs at most
-# 20 iterations where it is used.
-_CF_MAX_ITER = 100
-
-
-def expx_expn(orders: int, x: float) -> np.ndarray:
-    """``exp(x) * E_m(x)`` for m = 1, ..., ``orders`` at one x > 0.
-
-    Up to x = 50, ``exp(x) * expn(m, x)``.  Above m = 50, scipy's ``expn``
-    sums an asymptotic series and stops it early where one of its
-    coefficients vanishes (1.3e-7 off at m = 100, x = 50, 4e-7 at m = 60,
-    x = 30); the orders at which the recurrence m J_{m+1} + x J_m = 1 fails
-    by more than 1e-14 are recomputed from the continued fraction.  Above
-    x = 50, where exp(x) overflows by x = 710, every order comes from the
-    modified-Lentz continued fraction of E_m (Numerical Recipes 6.3), which
-    converges there in at most 11 iterations, and in at most 20 for m > 50
-    at any x.  The limit at x = inf is 0.
-
-    Raises :class:`ConvergenceError` if the fraction has not converged
-    after ``_CF_MAX_ITER`` iterations.
-    """
-    if not x > 0:  # NaN fails it too
-        raise ValueError("expx_expn requires x > 0")
-    if orders < 1:
-        raise ValueError("expx_expn requires orders >= 1")
-    m = np.arange(1.0, orders + 1.0)
-    if x == math.inf:
-        return np.zeros_like(m)
-    if x > 50.0:
-        return _expn_fraction(m, x)
-    out = math.exp(x) * sc.expn(m, x)
-    bad = np.abs(m[:-1] * out[1:] + x * out[:-1] - 1.0) > 1e-14
-    if bad.any():
-        bad = np.append(bad, False) | np.insert(bad, 0, False)  # both orders of a pair
-        out[bad] = _expn_fraction(m[bad], x)
-    return out
-
-
-def _expn_fraction(m: np.ndarray, x: float) -> np.ndarray:
-    """e^x E_m(x) = 1/(x+m-) 1*m/(x+m+2-) 2*(m+1)/(x+m+4-) ..., by modified Lentz."""
-    b = x + m
-    m1 = m - 1.0
-    c = np.full_like(m, math.inf)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, _CF_MAX_ITER + 1):
-        an = (m1 + i) * -i
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = c * d
-        h *= delta
-        if (np.abs(delta - 1.0) <= _EPS).all():
-            return h
-    raise ConvergenceError(f"continued fraction of E_m(x) at x = {x:.6g} did not converge "
-                           f"in {_CF_MAX_ITER} iterations", h, float(np.max(np.abs(delta - 1.0))))
 
 
 def marcum_q1(a, b):
@@ -252,7 +171,7 @@ _G7_WEIGHTS = np.array([
     0.129484966168870,
 ])
 # Roundoff floor of a panel's error bound, per unit of its K15 sum of |f|.
-_ROUNDOFF_FLOOR = 50.0 * _EPS
+_ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
 
 
 def _gk15(f: Callable, *panels):
@@ -271,17 +190,14 @@ def _gk15(f: Callable, *panels):
     return out
 
 
-def integrate_semi_infinite(f, lower, spec: QuadratureSpec | None = None, breakpoints=()):
+def integrate_semi_infinite(f, lower, spec: QuadratureSpec | None = None):
     """Integrate ``f`` over [lower, inf) for sub-Gaussian-tailed integrands.
 
     ``f`` must accept numpy arrays and be elementwise: the nodes of several
-    panels go to it in one array.  Each of the ascending ``breakpoints``
-    above the current lower end closes one panel there, so a feature
-    narrower than a panel's node spacing gets panel edges of its own.  From
-    the last of them the domain is extended in doubling segments until a
-    segment contributes less than ``tail_cutoff_tol`` in magnitude (twice
-    in a row), then the finite interval is refined by adaptive bisection
-    with the 15-point Kronrod rule per panel.
+    panels go to it in one array.  The domain is extended in doubling
+    segments until a segment contributes less than ``tail_cutoff_tol`` in
+    magnitude (twice in a row), then the finite interval is refined by
+    adaptive bisection with the 15-point Kronrod rule per panel.
 
     Raises :class:`ConvergenceError` (carrying the best estimate) if the
     subdivision budget is exhausted before the tolerances are met.
@@ -289,15 +205,9 @@ def integrate_semi_infinite(f, lower, spec: QuadratureSpec | None = None, breakp
     spec = spec or QuadratureSpec()
     lower = float(lower)
 
-    bounds = []  # (lo, hi) of the breakpoint panels
-    seg_lo = lower
-    for bp in breakpoints:
-        if bp > seg_lo:
-            bounds.append((seg_lo, bp))
-            seg_lo = bp
-    panels = [(lo, hi, *ve) for (lo, hi), ve in zip(bounds, _gk15(f, *bounds))] if bounds else []
-
     # Grow the upper cutoff until the tail is negligible.
+    panels = []
+    seg_lo = lower
     seg_len = 4.0
     quiet = 0
     while quiet < 2:

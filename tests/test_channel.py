@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate, special
 
 from onebitfb.channel import CorrelationParams, JakesParams, rho_from_jakes
-from onebitfb.ergodic import conditional_pdf_vtau
 from onebitfb.mcsim import _draw_blocks
+from onebitfb.specfun import marcum_q1
 
 
 def joint_pdf(v, v_tau, c: CorrelationParams):
@@ -22,6 +22,25 @@ def joint_pdf(v, v_tau, c: CorrelationParams):
     # exp(arg - (v^2+v_tau^2)/(1-rho^2)) = exp(-(v_tau - r v)^2/(1-rho^2) - v^2)
     expo = -((v_tau - r * v) ** 2) / omr2 - v * v
     return 4.0 * v_tau * v / omr2 * special.i0e(arg) * math.exp(expo)
+
+
+def conditional_pdf_vtau(z, alpha: float, c: CorrelationParams):
+    """Density of the transmission-time envelope given the feedback event v^2 >= alpha, |rho| < 1.
+
+    f(z | v^2 >= alpha) = 2 z exp(-z^2 + alpha)
+                          * Q1(sqrt(2)|rho| z / sqrt(1-rho^2),
+                               sqrt(2 alpha) / sqrt(1-rho^2)).
+
+    Reduces bit-exactly to the unconditional Rayleigh density 2 z exp(-z^2)
+    when alpha = 0 or rho = 0.
+    """
+    z = np.asarray(z, dtype=float)
+    if alpha == 0.0 or c.rho == 0.0:
+        return 2.0 * z * np.exp(-z * z)
+    r = c.abs_rho
+    s = math.sqrt(1.0 - r * r)
+    q = marcum_q1(math.sqrt(2.0) * r / s * z, math.sqrt(2.0 * alpha) / s)
+    return 2.0 * z * np.exp(-z * z + alpha) * q
 
 
 class TestParams:

@@ -296,30 +296,44 @@ class TestRejectedInputs:
         assert code == 2
         assert "--snr-db" in err
 
-    @pytest.mark.parametrize("rho,alpha", [("0.5", "1e6"), ("0.93", "709"), ("0.999", "4e4")],
-                             ids=["1e6", "709", "rho0.999"])
-    def test_large_fixed_alpha_is_a_named_failure(self, capsys, rho, alpha):
-        # Past the series' term cap the rate is a quadrature, and with
-        # alpha (1 - rho^2) > 60 the Marcum-Q factor of the conditional
-        # density is below what chndtr resolves where the density lives.
+    @pytest.mark.parametrize("argv", [
+        # alpha (1 - rho^2) > 60: the Marcum-Q factor of the conditional
+        # density is below what chndtr resolves; the rate does not use it.
+        ("--k", "4", "--rho", "0.5", "--alpha", "1e6"),
+        ("--k", "4", "--rho", "0.93", "--alpha", "709"),
+        ("--k", "4", "--rho", "0.999", "--alpha", "4e4"),
+        # Pr(N>0) underflows to 0 and the rate with it.
+        ("--k", "494", "--snr-db", "-16.6", "--rho", "0.9999999", "--alpha", "762.84"),
+        # A rate of 4e-10 at rho within 1e-9 of 1.
+        ("--k", "48", "--snr-db", "-99.1", "--rho", "0.999999999", "--alpha", "2.3525"),
+    ], ids=["1e6", "709", "rho0.999", "prob-underflow", "near-rho-one"])
+    def test_rate_within_its_bounds(self, capsys, argv):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, err = exit_status(capsys, "ergodic", "--k", "4", "--rho", rho,
-                                    "--alpha", alpha)
-        assert code == 3
-        assert "alpha" in err
+            code, out, _ = run(capsys, "ergodic", *argv)
+        assert code == 0
+        [row] = parse_csv(out)[1]
+        rate = float(row["rate_nats"])
+        assert float(row["lower_nats"]) <= rate <= float(row["upper_nats"])
 
     def test_subnormal_power_is_zero_rate(self, capsys, tmp_path):
-        # 1/P overflows to inf, where e^x E_m(x) is its limit 0 (hyperu gave NaN).
+        # At P = 1e-320 every rate is zero to 1e-300 but not 0: the no-CSI
+        # rate is P, to the 5e-324 resolution of subnormals, and the
+        # optimized 1-bit rate is at least that (alpha = 0 gives it) and
+        # grows with K.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, _ = exit_status(capsys, "figure", "fig1", "--snr-db", "-3200",
                                   "--out", str(tmp_path / "f.csv"))
         assert code == 0
+        rates = {}
         for series in ("no_csi", "onebit_rho1.0", "onebit_rho0.9", "onebit_rho0.5"):
             _, rows = parse_csv((tmp_path / f"f_{series}.csv").read_text())
-            rates = [float(r["rate_nats"]) for r in rows]
-            assert len(rates) == 10 and all(0.0 <= x < 1e-300 for x in rates), series
+            rates[series] = [float(r["rate_nats"]) for r in rows]
+            assert len(rates[series]) == 10 and max(rates[series]) < 1e-300, series
+        assert rates.pop("no_csi") == pytest.approx([1e-320] * 10, rel=1e-3, abs=0.0)
+        for series, r in rates.items():
+            assert r[0] >= 1e-320 * (1.0 - 1e-3) and r == sorted(r), series
 
     def test_power_near_float_limit_is_named(self, capsys, tmp_path):
         # The full-CSI rate is finite where P x overflows; the 1-bit rate then

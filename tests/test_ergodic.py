@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -24,7 +25,7 @@ from onebitfb.ergodic import (
     sum_rate_upper,
     wideband_metrics,
 )
-from onebitfb.specfun import QuadratureSpec, expx_e1, marcum_q1
+from onebitfb.specfun import QuadratureSpec, marcum_q1
 
 LOG2 = math.log(2.0)
 
@@ -44,6 +45,34 @@ TIGHT = QuadratureSpec(
 )
 # The quadrature tolerance of the low-SNR figure (fig2).
 FIG2_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
+
+
+def expx_e1(x: float) -> float:
+    """e^x E1(x), for x up to about 700."""
+    return math.exp(x) * special.exp1(x)
+
+
+def rician_mixture_rate(power: float, rho: float, alpha: float) -> float:
+    """E[log(1 + P v_tau^2) | v^2 >= alpha] by scipy's quad, without Pr(N>0).
+
+    Given v^2 = alpha + t, t ~ Exp(1), v_tau is Rician with
+    nu = rho sqrt(alpha + t) and sigma^2 = (1 - rho^2)/2.
+    """
+    var = (1.0 - rho * rho) / 2.0
+
+    def given_t(t):
+        nu = rho * math.sqrt(alpha + t)
+
+        def f(z):
+            return (math.log1p(power * z * z) * z / var
+                    * math.exp(-(z - nu) ** 2 / (2.0 * var)) * special.i0e(z * nu / var))
+
+        sd = math.sqrt(var)
+        return integrate.quad(f, max(0.0, nu - 40.0 * sd), nu + 40.0 * sd, points=[nu],
+                              epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    return integrate.quad(lambda t: math.exp(-t) * given_t(t), 0.0, 60.0,
+                          epsabs=0.0, epsrel=1e-12, limit=200)[0]
 
 
 class TestSumRate:
@@ -97,52 +126,29 @@ class TestSumRate:
         got = sum_rate(ErgodicConfig(k, power, CorrelationParams(rho), alpha), TIGHT)
         assert got == pytest.approx(want, rel=1e-12)
 
+    # The last three are far past where the conditional density's Marcum-Q
+    # factor is resolved by chndtr: alpha (1 - rho^2) from 96 to 7.5e5.
     @pytest.mark.parametrize("rho,alpha", [(0.9, 300.0), (0.5, 79.0), (0.5, 81.0), (0.5, 300.0),
                                            (0.3, 500.0), (0.5, 705.0), (0.5, 709.0),
-                                           (0.5, 710.0), (0.5, 745.0), (0.5, 760.0)])
+                                           (0.5, 710.0), (0.5, 745.0), (0.5, 760.0),
+                                           (0.5, 1e6), (0.93, 709.0), (0.999, 4e4)])
     def test_large_alpha_matches_rician_mixture(self, rho, alpha, monkeypatch):
-        # Given v^2 = alpha + t, t ~ Exp(1), v_tau is Rician with
-        # nu = rho sqrt(alpha + t) and sigma^2 = (1 - rho^2)/2.  Pr(N>0) is
-        # set to 1: it underflows to 0 past alpha = 745.
-        power, var = 100.0, (1.0 - rho * rho) / 2.0
-
-        def given_t(t):
-            nu = rho * math.sqrt(alpha + t)
-
-            def f(z):
-                return (math.log1p(power * z * z) * z / var
-                        * math.exp(-(z - nu) ** 2 / (2.0 * var)) * special.i0e(z * nu / var))
-
-            sd = math.sqrt(var)
-            return integrate.quad(f, max(0.0, nu - 40.0 * sd), nu + 40.0 * sd, points=[nu],
-                                  epsabs=0.0, epsrel=1e-13, limit=200)[0]
-
-        want = integrate.quad(lambda t: math.exp(-t) * given_t(t), 0.0, 60.0,
-                              epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        # Pr(N>0) is set to 1: it underflows to 0 past alpha = 745.
         monkeypatch.setattr(ergodic, "prob_some_above", lambda alpha, k: 1.0)
-        cfg = ErgodicConfig(4, power, CorrelationParams(rho), alpha)
+        cfg = ErgodicConfig(4, 100.0, CorrelationParams(rho), alpha)
+        want = rician_mixture_rate(100.0, rho, alpha)
         assert sum_rate(cfg, TIGHT) == pytest.approx(want, rel=1e-12)
-
-    # 1e6 needs more mixture terms than the series takes at any rho, 709 at
-    # rho = 0.93 (about 5,300), and rho = 0.999 more at every alpha: all
-    # integrate, where the Marcum-Q factor is out of reach once
-    # alpha (1 - rho^2) > 60.
-    @pytest.mark.parametrize("rho,alpha", [(0.5, 1e6), (0.93, 709.0), (0.999, 4e4)],
-                             ids=["1000000.0", "709.0", "rho0.999"])
-    def test_alpha_past_marcum_reach_is_named(self, rho, alpha):
-        with pytest.raises(OverflowError, match="alpha"):
-            sum_rate(ErgodicConfig(4, 100.0, CorrelationParams(rho), alpha))
 
     @pytest.mark.parametrize("k,snr_db,rho,alpha", [
         (4, -25.0, 0.1, 1.0), (4, 20.0, 0.9, 0.5), (16, 60.0, 0.5, 2.0), (64, 0.0, 0.99, 3.5),
         (64, 10.0, 0.7, 2.8), (256, 40.0, 0.97, 5.0), (1024, -10.0, 0.3, 6.0),
         (1024, 20.0, 0.5, 5.3), (1024, 60.0, 0.99, 7.0), (100, -5.0, 0.995, 0.3),
+        (16, 20.0, 0.999, 2.0), (100, 0.0, 0.9999, 3.0),
     ])
     def test_series_matches_split_quadrature(self, k, snr_db, rho, alpha):
-        # Below the term cap the rate is the mixture series; the reference is
-        # scipy's quad of the defining integral, split at the Marcum-Q step.
+        # The reference is scipy's quad of the rate's defining integral over
+        # the conditional envelope density, split at its Marcum-Q step.
         corr, power = CorrelationParams(rho), 10.0 ** (snr_db / 10.0)
-        assert ergodic._mixture_weights(alpha, corr) is not None
         s = math.sqrt(1.0 - rho * rho)
 
         def f(z):
@@ -166,7 +172,7 @@ class TestSumRate:
         assert sum_rate(cfg) == pytest.approx(want, rel=1e-15)
 
     def test_alpha_zero_single_user_is_no_csi(self):
-        # The series at alpha = 0 sums geometric weights c r^n to e^{1/P} E1(1/P).
+        # At alpha = 0 the conditioning is void and v_tau^2 is a unit exponential.
         for rho in (0.0, 0.3, 0.5, 0.9, 0.99, 0.995, 1.0):
             for power in (1e-3, 20.0, 1e6):
                 cfg = ErgodicConfig(1, power, CorrelationParams(rho), 0.0)
@@ -340,15 +346,9 @@ class TestWideband:
         rate_at_ebn0(wideband_metrics(3.0, 100, c).ebn0_min_db + 3.0, 100, c, 3.0, FIG2_QUAD)
         return sum(elements)
 
-    def test_inversion_evaluates_each_node_once(self, monkeypatch):
-        # Above the series' term cap the rate is a quadrature, and the density
-        # does not depend on P: one inversion needs it at each of about 300
-        # distinct nodes, where a fresh sum_rate per step needs 13,000.
-        assert ergodic._mixture_weights(3.0, CorrelationParams(0.999)) is None
-        assert 0 < self._marcum_elements(monkeypatch, 0.999) <= 1000
-
     def test_inversion_below_cap_evaluates_no_marcum(self, monkeypatch):
-        assert self._marcum_elements(monkeypatch, 0.9) == 0
+        for rho in (0.9, 0.999):
+            assert self._marcum_elements(monkeypatch, rho) == 0
 
     def test_inversion_no_csi_closed_form(self):
         # K=1, rho=0, alpha=0: R(P) = e^{1/P} E1(1/P), so the point must
@@ -373,6 +373,14 @@ class TestWideband:
 
 
 class TestDiagnostics:
+    @pytest.mark.parametrize("alpha,k,want", [
+        (0.0, 4, 1.0), (1e-17, 4, 1.0), (1.0, 1, math.exp(-1.0)),
+        (20.0, 2, 2.0 * math.exp(-20.0) - math.exp(-40.0)), (800.0, 64, 0.0), (1e300, 4, 0.0),
+    ])
+    def test_transmit_probability_limits(self, alpha, k, want):
+        # e^-alpha rounds to 1 below alpha = 5.6e-17, where log1p(-1) is -inf.
+        assert prob_some_above(alpha, k) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_scaling_ratio_moderate(self):
         # multiuser-diversity scaling: rate at the optimal threshold over log log K
         c = CorrelationParams(1.0)
@@ -406,6 +414,23 @@ class TestReferences:
         want = integrate.quad(f, 0.0, 60.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
         assert full_csi_rate(k, power) == pytest.approx(want, rel=1e-9)
 
+    def test_no_csi_matches_mpmath(self):
+        # e^x E1(x) at x = 1/P, against 40 digits, from x = 1e-3 to 1e12.
+        x = np.geomspace(1e-3, 1e12, 300)
+        got = np.array([no_csi_rate(1.0 / v) for v in x])
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.exp(v) * mpmath.e1(v)) for v in x])
+        assert np.max(np.abs(got / want - 1.0)) <= 2e-15
+
+    @pytest.mark.parametrize("power", [1e-300, 1e-308])
+    def test_rates_at_tiny_power_are_power_sized(self, power):
+        # To first order in P the rate is Pr(N>0) P (1 + alpha rho^2), its
+        # Jensen bound.
+        assert no_csi_rate(power) == pytest.approx(power, rel=1e-12, abs=0.0)
+        for rho, alpha in ((0.5, 2.0), (0.9, 3.0), (1.0, 1.0)):
+            cfg = ErgodicConfig(8, power, CorrelationParams(rho), alpha)
+            assert sum_rate(cfg) == pytest.approx(sum_rate_upper(cfg), rel=1e-12, abs=0.0)
+
     def test_no_csi_validation(self):
         with pytest.raises(ValueError):
             no_csi_rate(0.0)
@@ -419,8 +444,6 @@ class TestReferences:
             (full_csi_rate, (4, math.inf), "power"),
             (no_csi_rate, (math.nan,), "power"),
             (no_csi_rate, (math.inf,), "power"),
-            (expx_e1, (math.nan,), "x"),
-            (expx_e1, (np.array([1.0, math.nan]),), "x"),
         ],
     )
     def test_bad_input_is_named(self, fn, args, name):

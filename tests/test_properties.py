@@ -1,6 +1,8 @@
-"""Property tests: Marcum-Q identities and outage probabilities in range."""
+"""Property tests: Marcum-Q identities, outage probabilities in range and
+the sum-rate between its bounds."""
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import example, given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from onebitfb.channel import CorrelationParams
+from onebitfb.ergodic import ErgodicConfig, sum_rate, sum_rate_lower, sum_rate_upper
 from onebitfb.outage import OutageConfig, PowerMode, outage_outdated
 from onebitfb.specfun import marcum_q1, marcum_q1_bounds
 
@@ -101,3 +104,27 @@ def test_outdated_outage_in_unit_interval(cfg):
     rep = outage_outdated(cfg)
     values = np.array([rep.eps, rep.eps1, rep.eps0])
     assert np.all((values >= 0.0) & (values <= 1.0)), (cfg, rep)
+
+
+@st.composite
+def ergodic_configs(draw):
+    rho = draw(st.one_of(st.floats(-1.0, 1.0),
+                         st.sampled_from([-1.0, 1.0, 1.0 - 1e-9, -1.0 + 1e-9])))
+    return ErgodicConfig(
+        num_users=draw(st.integers(1, 1024)),
+        power=10.0 ** draw(st.floats(-10.0, 15.0)),
+        corr=CorrelationParams(rho),
+        threshold=draw(st.floats(0.0, 1e3)),
+    )
+
+
+@given(ergodic_configs())
+@example(ErgodicConfig(494, 10.0 ** -1.66, CorrelationParams(0.9999999), 762.84))
+@example(ErgodicConfig(48, 10.0 ** -9.91, CorrelationParams(0.999999999), 2.3525))
+def test_sum_rate_within_bounds(cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rate = sum_rate(cfg)
+        lower, upper = sum_rate_lower(cfg), sum_rate_upper(cfg)
+    assert math.isfinite(rate)
+    assert lower * (1.0 - 1e-13) <= rate <= upper * (1.0 + 1e-13), (cfg, lower, rate, upper)

@@ -1,16 +1,12 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
-from onebitfb import specfun
 from onebitfb.specfun import (
     ConvergenceError,
     QuadratureSpec,
-    expx_e1,
-    expx_expn,
     integrate_semi_infinite,
     marcum_q1,
     marcum_q1_asymptotic,
@@ -64,15 +60,6 @@ MARCUM_RIDGE_GOLDENS = [
     (10000000.0, 10000005.0, 2.866516462151604e-07),
     (10000000.0, 9999995.0, 0.9999997133485025),
 ]
-
-# Frozen via mpmath: exp(x) * e1(x) at 30 digits.
-EXPX_E1_GOLDENS = [
-    (0.5, 0.92291063248373047),
-    (10.0, 0.091563333939788082),
-    (51.0, 0.019237629337915531),
-    (1000.0, 0.00099900199402388071),
-]
-
 
 class TestMarcumQ1:
     @pytest.mark.parametrize("a,b,want", MARCUM_GOLDENS)
@@ -166,79 +153,6 @@ class TestMarcumQ1:
             marcum_q1_asymptotic(0.0, 1.0)
 
 
-class TestScalars:
-    @pytest.mark.parametrize("x,want", EXPX_E1_GOLDENS)
-    def test_expx_e1_goldens(self, x, want):
-        assert expx_e1(x) == pytest.approx(want, rel=1e-13)
-
-    def test_expx_e1_matches_mpmath_above_switch(self):
-        # The hyperu branch, batched, against 40-digit e^x E1(x).
-        x = np.geomspace(50.0, 1e12, 300)[1:]
-        got = expx_e1(x)
-        with mpmath.workdps(40):
-            want = np.array([float(mpmath.exp(v) * mpmath.e1(v)) for v in x])
-        assert np.max(np.abs(got / want - 1.0)) <= 2e-15
-
-    def test_expx_e1_continuous_at_switch(self):
-        lo = expx_e1(50.0 - 1e-9)
-        hi = expx_e1(50.0 + 1e-9)
-        assert lo == pytest.approx(hi, rel=1e-10)
-
-    def test_expx_e1_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            expx_e1(0.0)
-
-    def test_expx_e1_limit_at_infinity(self):
-        # 1/P for a subnormal power; hyperu(1, 1, inf) is NaN.
-        assert expx_e1(math.inf) == 0.0
-        assert np.array_equal(expx_e1(np.array([math.inf, 1e300])), [0.0, 1e-300])
-
-
-def _expx_expn_reference(m: int, x: float, dps: int) -> mpmath.mpf:
-    """e^x E_m(x) = int_0^inf e^{-x s} (1+s)^{-m} ds, by mpmath quadrature at ``dps`` digits.
-
-    mpmath's own expint(m, x) is no reference here: at 30 digits it gives
-    -0.063 for m = 75, x = 100, and at 80 digits 5e197 for m = 500, x = 709.
-    """
-    with mpmath.workdps(dps):
-        x = mpmath.mpf(x)
-        s = 1 / (x + m)  # the scale of the integrand's decay
-        return mpmath.quad(lambda u: mpmath.exp(-x * u) * (1 + u) ** -m,
-                           [0, s, 4 * s, 16 * s, 64 * s, mpmath.inf])
-
-
-class TestExpxExpn:
-    # Past m = 50, scipy's expn stops its asymptotic series early where a
-    # coefficient vanishes: at m = 2x it is 1.3e-7 off at x = 50 and 4e-7 at x = 30.
-    @pytest.mark.parametrize("x", [1e-3, 0.37, 1.0, 7.5, 25.5, 30.0, 50.0, 50.5, 100.0, 709.0,
-                                   1e3, 1e6, 1e10])
-    def test_matches_mpmath(self, x):
-        got = expx_expn(2000, x)
-        for m in (1, 3, 50, 51, 60, 75, 100, 500, 2000):
-            want = _expx_expn_reference(m, x, 20)
-            with mpmath.workdps(30):
-                assert abs(want / _expx_expn_reference(m, x, 30) - 1) < 1e-16
-            assert got[m - 1] == pytest.approx(float(want), rel=1e-14), (m, x)
-
-    def test_recurrence_and_limits(self):
-        for x in (1e-300, 1e-8, 2.0, 49.99, 50.01, 1e300):
-            j = expx_expn(3000, x)
-            m = np.arange(1.0, 3000.0)
-            assert np.all(j > 0.0) and np.all(np.diff(j) <= 0.0)
-            assert np.max(np.abs(m * j[1:] + x * j[:-1] - 1.0)) < 2e-14
-        assert np.array_equal(expx_expn(5, math.inf), np.zeros(5))
-
-    def test_fraction_cap_is_a_named_failure(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_CF_MAX_ITER", 3)
-        with pytest.raises(ConvergenceError, match="continued fraction"):
-            expx_expn(10, 60.0)
-
-    @pytest.mark.parametrize("orders,x", [(0, 1.0), (3, 0.0), (3, -1.0), (3, math.nan)])
-    def test_bad_input_is_named(self, orders, x):
-        with pytest.raises(ValueError, match="expx_expn"):
-            expx_expn(orders, x)
-
-
 class TestQuadrature:
     def test_rayleigh_normalization(self):
         val = integrate_semi_infinite(lambda x: 2 * x * np.exp(-x * x), 0.0)
@@ -254,39 +168,20 @@ class TestQuadrature:
         )
         assert val == pytest.approx(0.5, rel=1e-9)
 
-    def test_breakpoints_resolve_a_narrow_step(self):
-        # A step 1e-9 wide just past x = 1, where bisecting [0, 4] puts a
-        # panel edge: no node of [1, 2] lands before the step, so without a
-        # panel of its own the integral is 2e-7 too high.
-        c = 1.0 + 1e-7
-
-        def f(x):
-            return 2 * x * np.exp(-x * x) * special.ndtr((x - c) / 1e-9)
-
-        spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-12, tail_cutoff_tol=1e-18)
-        got = integrate_semi_infinite(f, 0.0, spec, breakpoints=(c - 1e-8, c + 1e-8))
-        assert got == pytest.approx(math.exp(-c * c), rel=1e-12)
-
-    def test_breakpoints_below_lower_are_skipped(self):
-        f = lambda x: 2 * x * np.exp(-x * x)  # noqa: E731
-        assert integrate_semi_infinite(f, 1.0, breakpoints=(0.5, 1.0, 1.5)) == pytest.approx(
-            math.exp(-1.0), rel=1e-10
-        )
-
     def test_each_bisection_is_one_integrand_call(self):
-        # Both breakpoint panels, then one 15-node call per tail segment,
-        # then both halves of each bisected panel in one 30-node call.
+        # One 15-node call per tail segment, then both halves of each
+        # bisected panel in one 30-node call.
         sizes = []
 
         def f(x):
             sizes.append(x.size)
             return np.exp(-x) * np.cos(4.0 * x)
 
-        got = integrate_semi_infinite(f, 0.0, breakpoints=(0.5, 1.0))
+        got = integrate_semi_infinite(f, 0.0)
         assert got == pytest.approx(1.0 / 17.0, rel=1e-9)
         tail = sizes.count(15)
-        assert sizes == [30] + [15] * tail + [30] * (len(sizes) - 1 - tail)
-        assert len(sizes) > tail + 1
+        assert sizes == [15] * tail + [30] * (len(sizes) - tail)
+        assert len(sizes) > tail
 
     def test_convergence_error_carries_estimate(self):
         spec = QuadratureSpec(
