@@ -41,11 +41,9 @@ __all__ = [
 _LOG2 = math.log(2.0)
 _3DB = 10.0 * math.log10(2.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# The trapezoid rule of the rate integral (see _log1p_mean): its step in ln t,
-# the top of its range in ln t, and the relative size of the terms it drops.
-_STEP = 0.25
-_LOG_T_TOP = math.log(45.0)
-_LOG_TINY = math.log(1e-17)
+# Users per block of the full-CSI log-MGF sum, which bounds its
+# (nodes x users) array: 300 nodes by 256 users is 600 kB.
+_USER_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -142,8 +140,8 @@ def sum_rate(cfg: ErgodicConfig, quad: QuadratureSpec | None = None) -> float:
 
     At rho = 0 it is e^{1/P} E1(1/P) and at |rho| = 1 the instantaneous
     closed form log(1 + alpha P) + e^{alpha + 1/P} E1(alpha + 1/P).
-    ``quad`` is not used: the integral is a fixed trapezoid rule, see
-    :func:`_log1p_mean`.
+    ``quad`` is ignored: the integral is the fixed trapezoid rule of
+    :func:`onebitfb.specfun.integrate_semi_infinite`.
     """
     r = cfg.corr.rho ** 2
     shift = cfg.threshold * r
@@ -151,22 +149,18 @@ def sum_rate(cfg: ErgodicConfig, quad: QuadratureSpec | None = None) -> float:
 
 
 def _log1p_mean(power: float, shift: float, c: float) -> float:
-    """int_0^inf (1 - M(t)) e^-t dt / t, with M(t) = exp(-shift t P / (1 + c t P)) / (1 + t P).
+    """E[log(1 + X)] for X with M(t) = exp(-shift t P / (1 + c t P)) / (1 + t P).
 
-    The trapezoid rule with step ``_STEP`` in s = ln t, over t from
-    1e-17 / (e (1 + P (1 + shift))), below which the integrand in s is under
-    1e-17 of its scale, to 45, past which e^-t is.  In s the integrand is
-    analytic for |Im s| < pi/2, so the rule is off by about exp(-pi^2/_STEP),
-    7e-18; every term is nonnegative.  The grid depends on alpha only
-    through ``shift``.
+    X has mean P (1 + shift), so the grid of the rate integral depends on
+    alpha only through ``shift``.
     """
-    lo = _LOG_TINY - math.log1p(power * (1.0 + shift)) - 1.0
-    t = np.exp(np.arange(_LOG_T_TOP, lo, -_STEP))
-    with np.errstate(over="ignore"):
+
+    def log_mgf(t):
         # Where t P passes 1e300, 1 - M(t) is 1 to rounding either way.
         tp = np.minimum(t * power, 1e300)
-        log_m = -np.log1p(tp) - shift * tp / (1.0 + c * tp)
-    return _STEP * float(np.dot(-np.expm1(log_m), np.exp(-t)))
+        return -np.log1p(tp) - shift * tp / (1.0 + c * tp)
+
+    return integrate_semi_infinite(log_mgf, math.log1p(power * (1.0 + shift)))
 
 
 def sum_rate_upper(cfg: ErgodicConfig) -> float:
@@ -218,18 +212,12 @@ def suboptimal_threshold(num_users: int, delta: float) -> float:
     return log_k - delta
 
 
-def optimal_threshold(
-    num_users: int,
-    power: float,
-    corr: CorrelationParams,
-    quad: QuadratureSpec | None = None,
-) -> float:
+def optimal_threshold(num_users: int, power: float, corr: CorrelationParams) -> float:
     """Numerically maximize the sum-rate over the threshold.
 
     The rate rises and then falls in alpha, so a golden-section search
     narrows [0, log K + 6] to a bracket of width 1e-4 and returns its
-    midpoint, or exactly 0 when the maximum sits at alpha = 0.  ``quad`` is
-    not used by the 1-bit rate.
+    midpoint, or exactly 0 when the maximum sits at alpha = 0.
     """
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
@@ -307,7 +295,7 @@ def rate_at_ebn0(
     Zero rate at or below Eb/N0_min.  Above it, P / R_bits(P) rises with P:
     bisect in log P to width 1e-12, from [ln 1e-10, 0] with the upper end
     raised by 4 until it brackets the target.  Each step is one
-    :func:`sum_rate` call; ``quad`` is not used by the 1-bit rate.
+    :func:`sum_rate` call; ``quad`` is ignored.
     """
     if not math.isfinite(ebn0_db):
         raise ValueError("ebn0_db must be finite")
@@ -333,45 +321,51 @@ def rate_at_ebn0(
     return best
 
 
-def ergodic_report(cfg: ErgodicConfig, quad: QuadratureSpec | None = None) -> ErgodicReport:
+def ergodic_report(cfg: ErgodicConfig) -> ErgodicReport:
     """Rate plus both bounds and the transmit probability, in one pass."""
     return ErgodicReport(
-        rate_nats=sum_rate(cfg, quad),
+        rate_nats=sum_rate(cfg),
         upper_nats=sum_rate_upper(cfg),
         lower_nats=sum_rate_lower(cfg),
         prob_transmit=prob_some_above(cfg.threshold, cfg.num_users),
     )
 
 
-def full_csi_rate(num_users: int, power: float, quad: QuadratureSpec | None = None) -> float:
+def full_csi_rate(num_users: int, power: float) -> float:
     """Reference rate with non-delayed full CSI: E[log(1 + P max_k v_k^2)].
 
-    The max of K unit exponentials has density K (1-e^{-x})^{K-1} e^{-x}.
+    By Renyi's representation the max of K unit exponentials is
+    sum_{i<=K} E_i / i with E_i unit exponentials, so P max has
+
+        log M(t) = -sum_{i<=K} log1p(t P / i)  and mean P H_K,
+
+    H_K the K-th harmonic number.  The sum runs over blocks of
+    ``_USER_BLOCK`` users, so a call costs O(K) time and bounded memory.
     """
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
     if not 0 < power < math.inf:  # NaN fails it too
         raise ValueError("power must be positive and finite")
 
-    def integrand(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            log_pdf = np.log(num_users) + (num_users - 1) * np.log1p(-np.exp(-x)) - x
-        with np.errstate(over="ignore"):
-            px = power * x
-        gain = np.log1p(px)
-        # Where P x overflows, log(1 + P x) is log P + log x to rounding.
-        big = np.isinf(px)
-        gain[big] = math.log(power) + np.log(x[big])
-        return gain * np.exp(log_pdf)
+    def log_mgf(t):
+        tp = t * power
+        out = np.zeros_like(t)
+        for lo in range(1, num_users + 1, _USER_BLOCK):
+            users = np.arange(lo, min(lo + _USER_BLOCK, num_users + 1), dtype=float)
+            out -= np.log1p(np.divide.outer(tp, users)).sum(axis=1)
+        return out
 
-    return integrate_semi_infinite(integrand, 0.0, quad)
+    harmonic = math.fsum(1.0 / i for i in range(1, num_users + 1))
+    mean = power * harmonic
+    # Where P H_K overflows, log(1 + P H_K) is log P + log H_K to rounding.
+    log1p_mean = math.log1p(mean) if mean < math.inf else math.log(power) + math.log(harmonic)
+    return integrate_semi_infinite(log_mgf, log1p_mean)
 
 
 def no_csi_rate(power: float) -> float:
     """Reference rate with no CSI: E[log(1 + P v^2)] = e^{1/P} E1(1/P).
 
-    The 1-bit rate integral at alpha = 0, see :func:`_log1p_mean`.
+    The 1-bit rate integral at alpha = 0, and the full-CSI rate at K = 1.
     """
     if not 0 < power < math.inf:
         raise ValueError("power must be positive and finite")

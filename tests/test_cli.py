@@ -306,7 +306,10 @@ class TestRejectedInputs:
         ("--k", "494", "--snr-db", "-16.6", "--rho", "0.9999999", "--alpha", "762.84"),
         # A rate of 4e-10 at rho within 1e-9 of 1.
         ("--k", "48", "--snr-db", "-99.1", "--rho", "0.999999999", "--alpha", "2.3525"),
-    ], ids=["1e6", "709", "rho0.999", "prob-underflow", "near-rho-one"])
+        # A subnormal power: each term of the rate integral carries the
+        # 5e-324 resolution of subnormals.
+        ("--k", "1", "--snr-db", "-3200", "--rho", "0", "--alpha", "0"),
+    ], ids=["1e6", "709", "rho0.999", "prob-underflow", "near-rho-one", "subnormal-power"])
     def test_rate_within_its_bounds(self, capsys, argv):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

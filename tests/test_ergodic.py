@@ -52,6 +52,27 @@ def expx_e1(x: float) -> float:
     return math.exp(x) * special.exp1(x)
 
 
+def full_csi_mpmath(k: int, power: float) -> float:
+    """E[log(1 + P max_k v_k^2)] at 25 digits, from the law of the max rather than its MGF.
+
+    int_0^inf P Pr(max > x) / (1 + P x) dx, in u = ln x.  Below
+    x = e^-62 min(1, 1/P) the integrand adds under 1e-26 of the rate; above
+    x = ln K + 75, Pr(max > x) < K e^-x does.
+    """
+    with mpmath.workdps(25):
+        p = mpmath.mpf(power)
+
+        def f(u):
+            x = mpmath.exp(u)
+            return p * x / (1 + p * x) * -mpmath.expm1(k * mpmath.log1p(-mpmath.exp(-x)))
+
+        lp, top = -mpmath.log(p), mpmath.log(k) + 75
+        lo, hi = min(lp, 0) - 62, mpmath.log(top)
+        breaks = sorted(b for b in (lp - 8, lp, lp + 8, mpmath.log(top - 74), mpmath.log(top - 35))
+                        if lo < b < hi)
+        return float(mpmath.quad(f, [lo, *breaks, hi]))
+
+
 def rician_mixture_rate(power: float, rho: float, alpha: float) -> float:
     """E[log(1 + P v_tau^2) | v^2 >= alpha] by scipy's quad, without Pr(N>0).
 
@@ -400,7 +421,14 @@ class TestReferences:
         assert full_csi_rate(4, 10.0) == pytest.approx(FULL_CSI_GOLDEN_4_10, rel=1e-8)
 
     def test_full_csi_single_user_is_no_csi(self):
-        assert full_csi_rate(1, 30.0) == pytest.approx(no_csi_rate(30.0), rel=1e-9)
+        for power in np.geomspace(1e-320, 1.7e308, 60):
+            assert full_csi_rate(1, float(power)) == no_csi_rate(float(power))
+
+    @pytest.mark.parametrize("k", [1, 3, 7, 50, 300, 1024, 5000])
+    def test_full_csi_matches_mpmath(self, k):
+        for power in (1e-10, 1e-4, 1.0, 1e4, 1e15, 1.7e308):
+            want = full_csi_mpmath(k, power)
+            assert full_csi_rate(k, power) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("power", [1e300, 1e308, 1.7e308])
     def test_full_csi_near_float_limit(self, power):

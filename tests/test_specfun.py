@@ -1,11 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
 from onebitfb.specfun import (
-    ConvergenceError,
     QuadratureSpec,
     integrate_semi_infinite,
     marcum_q1,
@@ -154,43 +154,21 @@ class TestMarcumQ1:
 
 
 class TestQuadrature:
-    def test_rayleigh_normalization(self):
-        val = integrate_semi_infinite(lambda x: 2 * x * np.exp(-x * x), 0.0)
-        assert val == pytest.approx(1.0, abs=1e-10)
+    @pytest.mark.parametrize("c", [1e-300, 1e-12, 1e-3, 0.5, 1.0, 7.0, 1e3, 1e12, 1e300, 1.7e308])
+    def test_frullani_is_exact(self, c):
+        # X = c: int_0^inf (e^-t - e^-(1+c)t) dt / t = log(1 + c), to one rounding.
+        got = integrate_semi_infinite(lambda t: -c * t, math.log1p(c))
+        assert got == pytest.approx(math.log1p(c), rel=2.3e-16, abs=0.0)
 
-    def test_rayleigh_tail(self):
-        val = integrate_semi_infinite(lambda x: 2 * x * np.exp(-x * x), 1.0)
-        assert val == pytest.approx(math.exp(-1.0), rel=1e-10)
-
-    def test_gaussian_moment(self):
-        val = integrate_semi_infinite(
-            lambda x: x * x * np.exp(-x * x / 2) / math.sqrt(2 * math.pi), 0.0
-        )
-        assert val == pytest.approx(0.5, rel=1e-9)
-
-    def test_each_bisection_is_one_integrand_call(self):
-        # One 15-node call per tail segment, then both halves of each
-        # bisected panel in one 30-node call.
-        sizes = []
-
-        def f(x):
-            sizes.append(x.size)
-            return np.exp(-x) * np.cos(4.0 * x)
-
-        got = integrate_semi_infinite(f, 0.0)
-        assert got == pytest.approx(1.0 / 17.0, rel=1e-9)
-        tail = sizes.count(15)
-        assert sizes == [15] * tail + [30] * (len(sizes) - tail)
-        assert len(sizes) > tail
-
-    def test_convergence_error_carries_estimate(self):
-        spec = QuadratureSpec(
-            abs_tol=1e-16, rel_tol=1e-16, max_subdivisions=3, tail_cutoff_tol=1e-18
-        )
-        with pytest.raises(ConvergenceError) as err:
-            integrate_semi_infinite(lambda x: np.exp(-x) * np.cos(40 * x), 0.0, spec)
-        assert math.isfinite(err.value.estimate)
-        assert err.value.error_bound > 0
+    def test_exponential_matches_mpmath(self):
+        # X a mean-c exponential: E log(1 + X) = e^{1/c} E1(1/c).
+        cs = np.geomspace(1e-12, 1e15, 55)
+        got = np.array([integrate_semi_infinite(lambda t: -np.log1p(c * t), math.log1p(c))
+                        for c in cs])
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.exp(1 / c) * mpmath.e1(1 / c))
+                             for c in map(mpmath.mpf, cs)])
+        assert np.max(np.abs(got / want - 1.0)) <= 4.5e-16
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,40 @@
+"""The bench harness's tracer still finds every layer function it wraps.
+
+``perfbench/tracing.py`` replaces package functions by name; a renamed or
+deleted one would otherwise fail only a traced bench run.
+"""
+
+import importlib.util
+import pathlib
+import types
+
+from onebitfb import channel, cli, ergodic, mcsim, outage, specfun
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_wraps_and_restore_unwraps():
+    tracing = _load_tracing()
+    pkg = types.SimpleNamespace(channel=channel, cli=cli, ergodic=ergodic, mcsim=mcsim,
+                                outage=outage, specfun=specfun)
+    before = {(mod, attr): getattr(mod, attr) for mod in (ergodic, outage, mcsim, cli)
+              for attr in vars(mod)}
+    tracer = tracing.Tracer()
+    tracing.install(tracer, pkg)
+    try:
+        ergodic.sum_rate(ergodic.ErgodicConfig(4, 10.0, channel.CorrelationParams(0.9), 1.0))
+        ergodic.full_csi_rate(4, 10.0)
+        ergodic.no_csi_rate(10.0)
+    finally:
+        tracer.restore()
+    # One log-MGF evaluation per rate integral, each inside a traced integral.
+    assert tracer.counts["specfun.integrand_evals"] == 3
+    assert tracer.summary()["specfun.integrate_semi_infinite"]["calls"] == 3
+    assert {key: getattr(*key) for key in before} == before
