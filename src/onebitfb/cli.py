@@ -6,8 +6,8 @@ written as CSV (one ``#`` metadata line, header row, data rows) or JSON
 linear power internally; rates are accepted in bits or nats and reported in
 both.  All randomness derives from --seed.
 
-Exit codes: 0 success (or stdout closed by its reader), 2 usage error, 3
-numerical failure.
+Exit codes: 0 success (or stdout closed by its reader), 2 usage error
+(including an --out that cannot be written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def _sweep_rows(args, rows_at, base: dict, sweep) -> list[dict]:
     for point in points:
         try:
             rows.extend(rows_at(args, point))
-        except OverflowError as exc:
+        except ArithmeticError as exc:
             exc.point = point  # main names the point that failed
             raise
     return rows
@@ -367,6 +367,20 @@ def _figure_out(args, series: str) -> str | None:
     return f"{args.out}_{series}.{args.format}"
 
 
+def _check_out(args) -> None:
+    """Reject an --out that cannot be written, before anything is computed."""
+    if args.out is None or (args.out == "-" and args.command != "figure"):
+        return
+    path = _figure_out(args, "series") if args.command == "figure" else args.out
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ValueError(f"--out: {path} is a directory")
+    if not os.path.exists(path) and not os.path.isdir(folder):
+        raise ValueError(f"--out: no directory {folder}")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ValueError(f"--out: cannot write {path}")
+
+
 def _emit_series(args, figure_id: str, series: str, columns, rows):
     meta = {"command": "figure", "figure_id": figure_id, "series": series}
     _write_table(_figure_out(args, series), args.format, meta, columns, rows)
@@ -472,8 +486,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     run = _cmd_figure if args.command == "figure" else _run_command
     try:
+        _check_out(args)
         return run(args)
-    except OverflowError as exc:
+    except ArithmeticError as exc:  # OverflowError, or a root search that did not converge
         at = "".join(f" {k}={_fmt(v)}" for k, v in getattr(exc, "point", {}).items())
         print(f"numerical failure{' at' + at if at else ''}: {exc}", file=sys.stderr)
         return 3

@@ -40,7 +40,8 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 _3DB = 10.0 * math.log10(2.0)
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_DB_PER_NEPER = 10.0 / math.log(10.0)  # d(10 log10 x) / d(ln x)
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # Users per block of the full-CSI log-MGF sum, which bounds its
 # (nodes x users) array: 300 nodes by 256 users is 600 kB.
 _USER_BLOCK = 256
@@ -148,17 +149,31 @@ def sum_rate(cfg: ErgodicConfig, quad: QuadratureSpec | None = None) -> float:
     return prob_some_above(cfg.threshold, cfg.num_users) * _log1p_mean(cfg.power, shift, 1.0 - r)
 
 
-def _log1p_mean(power: float, shift: float, c: float) -> float:
+def _log1p_mean(power: float, shift: float, c: float, derivatives: bool = False):
     """E[log(1 + X)] for X with M(t) = exp(-shift t P / (1 + c t P)) / (1 + t P).
 
     X has mean P (1 + shift), so the grid of the rate integral depends on
-    alpha only through ``shift``.
+    alpha only through ``shift``.  With ``derivatives`` the same pass also
+    returns, with q = t P / (1 + c t P), the three integrals
+
+        int M q,  int M q^2  and  int M (t P / (1 + t P) + shift q / (1 + c t P))
+
+    against e^-t dt / t: with shift = alpha r they are dI/dalpha / r,
+    -d^2I/dalpha^2 / r^2 and P dI/dP of the integral I.  Each is formed as
+    (M q) times a factor, and M q <= 1/c (tP/(1 + tP) at c = 0), so no
+    term overflows for any finite P.
     """
 
     def log_mgf(t):
         # Where t P passes 1e300, 1 - M(t) is 1 to rounding either way.
         tp = np.minimum(t * power, 1e300)
-        return -np.log1p(tp) - shift * tp / (1.0 + c * tp)
+        log_m = -np.log1p(tp) - shift * tp / (1.0 + c * tp)
+        if not derivatives:
+            return log_m
+        m = np.exp(log_m)
+        ctp = 1.0 + c * tp
+        mq = m * (tp / ctp)
+        return log_m, np.stack([mq, mq * (tp / ctp), m * (tp / (1.0 + tp)) + shift * (mq / ctp)])
 
     return integrate_semi_infinite(log_mgf, math.log1p(power * (1.0 + shift)))
 
@@ -212,32 +227,89 @@ def suboptimal_threshold(num_users: int, delta: float) -> float:
     return log_k - delta
 
 
-def optimal_threshold(num_users: int, power: float, corr: CorrelationParams) -> float:
-    """Numerically maximize the sum-rate over the threshold.
+def _log_hazard(alpha: float, num_users: int) -> tuple[float, float]:
+    """log(-Pr'/Pr) and (log -Pr')', for Pr(N>0) = 1 - (1 - e^-alpha)^K and alpha > 0.
 
-    The rate rises and then falls in alpha, so a golden-section search
-    narrows [0, log K + 6] to a bracket of width 1e-4 and returns its
-    midpoint, or exactly 0 when the maximum sits at alpha = 0.
+    -Pr' = K e^-alpha (1 - e^-alpha)^(K-1), in logs: the power underflows at
+    K = 1e6 and small alpha, where its log is finite.
+    """
+    miss = math.exp(-alpha)
+    # log(1 - e^-alpha), to full relative precision at either end.
+    log_hit = math.log1p(-miss) if alpha > 0.5 else math.log(-math.expm1(-alpha))
+    log_slope = math.log(num_users) - alpha + (num_users - 1) * log_hit
+    return (log_slope - math.log(prob_some_above(alpha, num_users)),
+            (num_users * miss - 1.0) / -math.expm1(-alpha))
+
+
+# Newton steps either search may take.  Both stop on the step size or the
+# bracket width, in 6 passes or fewer on the grids tests/test_ergodic.py pins.
+_MAX_STEPS = 100
+
+
+def optimal_threshold(num_users: int, power: float, corr: CorrelationParams) -> float:
+    """Maximize the sum-rate R = Pr(N>0) I over the threshold, by Newton steps.
+
+    dR/dalpha = R (g - h), with the gain g = I'/I and the hazard
+    h = -Pr'/Pr of the max of K unit exponentials.  Where K = 1,
+    dR/dalpha(0) = I'(0) - I(0) < 0, and where rho = 0, I' = 0; alpha* is
+    exactly 0 in both cases.  Elsewhere dR/dalpha(0) > 0.  The hazard
+    rises in alpha (the max has an increasing failure rate) and the gain
+    falls (I is concave in alpha), so dR/dalpha = 0 has one root, that of
+    f = log h - log g, which rises.  Newton steps solve f = 0 in log alpha,
+    where f is about (K - 1) log alpha near 0, from max(log K - 1.5,
+    0.3 log K), inside the bracket [0, log K + 6] kept by the sign of f
+    (:func:`_newton`).  Each step is one pass of the rate integral that
+    also gives I' and I'' (:func:`_log1p_mean`): at most 7 passes from
+    K = 2 to 1e6, rho from 0.05 to 1 and P from 1e-10 to 1e15.
     """
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
-
-    def rate(alpha: float) -> float:
-        return sum_rate(ErgodicConfig(num_users, power, corr, alpha))
-
-    lo, up = 0.0, math.log(num_users) + 6.0
-    x1, x2 = up - _INV_PHI * (up - lo), lo + _INV_PHI * (up - lo)
-    f1, f2 = rate(x1), rate(x2)
-    while up - lo > 1e-4:
-        if f1 >= f2:
-            up, x2, f2 = x2, x1, f1
-            f1 = rate(x1 := up - _INV_PHI * (up - lo))
-        else:
-            lo, x1, f1 = x1, x2, f2
-            f2 = rate(x2 := lo + _INV_PHI * (up - lo))
-    if lo == 0.0 and rate(0.0) >= max(f1, f2):
+    r = corr.rho ** 2
+    if num_users == 1 or r == 0.0:
         return 0.0
-    return 0.5 * (lo + up)
+    log_k = math.log(num_users)
+
+    def newton_step(alpha: float) -> tuple[float, float]:
+        ErgodicConfig(num_users, power, corr, alpha)  # names an overflowing P (1 + alpha)
+        rate, (mq, mq2, _) = _log1p_mean(power, alpha * r, 1.0 - r, derivatives=True)
+        if not mq * r > 0.0:  # I' underflows (rho^2 or P subnormal): the root is nearer 0
+            return math.inf, math.nan
+        log_h, dlog_slope = _log_hazard(alpha, num_users)
+        gain = r * mq / rate
+        # f' = (log -Pr')' - Pr'/Pr - I''/I' + I'/I.
+        df = dlog_slope + math.exp(log_h) + r * mq2 / mq + gain
+        f = log_h - math.log(gain)
+        return f, alpha * math.expm1(-f / (alpha * df)) if df > 0.0 else math.nan
+
+    return _newton(newton_step, max(log_k - 1.5, 0.3 * log_k), 0.0, log_k + 6.0,
+                   "optimal_threshold")
+
+
+def _newton(step_at, x: float, lo: float, up: float, name: str, f_tol: float = 0.0) -> float:
+    """The root of an increasing f in (lo, up), by safeguarded Newton steps from x.
+
+    ``step_at(x)`` returns f(x) and the Newton step there, or NaN where it
+    has none.  The sign of f keeps a bracket; a step that would leave it,
+    or that does not halve the step before last, is replaced by bisection,
+    or by 4 toward the root while an end of the bracket is infinite.
+    Returns x once |f(x)| is at most ``f_tol``, or the point after the step
+    once a step is at most 1e-12 or the bracket is 1e-12 wide.  Reaching
+    ``_MAX_STEPS`` raises ArithmeticError naming ``name``.
+    """
+    last = before = math.inf
+    for _ in range(_MAX_STEPS):
+        f, step = step_at(x)
+        if abs(f) <= f_tol:
+            return x
+        if abs(step) <= 1e-12:
+            return x + step
+        lo, up = (x, up) if f < 0.0 else (lo, x)
+        if not (lo < x + step < up and abs(step) < 0.5 * abs(before)):
+            step = 0.5 * (lo + up) - x if up - lo < math.inf else math.copysign(4.0, -f)
+            if up - lo <= 1e-12:
+                return x + step
+        x, last, before = x + step, step, last
+    raise ArithmeticError(f"{name}: no convergence in {_MAX_STEPS} Newton steps")
 
 
 def wideband_metrics(alpha: float, num_users: int, corr: CorrelationParams) -> WidebandReport:
@@ -292,33 +364,39 @@ def rate_at_ebn0(
 ) -> tuple[float, float]:
     """Invert the implicit Eb/N0 relation; returns (rate_nats, power).
 
-    Zero rate at or below Eb/N0_min.  Above it, P / R_bits(P) rises with P:
-    bisect in log P to width 1e-12, from [ln 1e-10, 0] with the upper end
-    raised by 4 until it brackets the target.  Each step is one
-    :func:`sum_rate` call; ``quad`` is ignored.
+    Zero rate at or below Eb/N0_min.  Above it, the implied Eb/N0,
+    P / R_bits(P), rises with P, and its derivative in ln P is
+    (10 / ln 10) (1 - P R'(P) / R(P)) dB, so each Newton step in ln P is one
+    pass of the rate integral that also gives P dI/dP (:func:`_log1p_mean`).
+    The first point is where the wideband expansion
+    ln(Eb/N0 / Eb/N0_min) = P ln 2 / (S0 Eb/N0_min) meets the target.
+    Steps stop once one moves ln P by at most 1e-12 or the implied Eb/N0 is
+    within 1e-12 dB of the target: at most 6 passes from 1e-6 to 100 dB
+    above Eb/N0_min, then one :func:`sum_rate` call at the final power.
+    ``quad`` is ignored.
     """
     if not math.isfinite(ebn0_db):
         raise ValueError("ebn0_db must be finite")
-    if ebn0_db <= wideband_metrics(alpha, num_users, corr).ebn0_min_db:
+    wb = wideband_metrics(alpha, num_users, corr)
+    if ebn0_db <= wb.ebn0_min_db:
         return 0.0, 0.0
+    r = corr.rho ** 2
+    prob = prob_some_above(alpha, num_users)
 
-    def point(log_power: float) -> tuple[float, float]:
+    def newton_step(log_power: float) -> tuple[float, float]:
+        if log_power > _LOG_FLOAT_MAX:
+            raise OverflowError(f"ebn0_db = {ebn0_db:.6g}: the power it needs overflows")
         power = math.exp(log_power)
-        return sum_rate(ErgodicConfig(num_users, power, corr, alpha)), power
+        ErgodicConfig(num_users, power, corr, alpha)
+        rate, (_, _, dpower) = _log1p_mean(power, alpha * r, 1.0 - r, derivatives=True)
+        miss = ebn0_db_from_power(prob * rate, power) - ebn0_db
+        slope = _DB_PER_NEPER * (1.0 - dpower / rate)
+        return miss, -miss / slope if slope > 0.0 else math.nan
 
-    lo, up = math.log(1e-10), 0.0
-    best = point(up)
-    while ebn0_db_from_power(*best) < ebn0_db:
-        lo, up = up, up + 4.0
-        best = point(up)
-    while up - lo > 1e-12:
-        mid = 0.5 * (lo + up)
-        trial = point(mid)
-        if ebn0_db_from_power(*trial) < ebn0_db:
-            lo = mid
-        else:
-            up, best = mid, trial
-    return best
+    start = (ebn0_db - wb.ebn0_min_db) / _DB_PER_NEPER * wb.ebn0_min_linear * wb.slope_s0 / _LOG2
+    power = math.exp(_newton(newton_step, math.log(start), -math.inf, math.inf, "rate_at_ebn0",
+                             f_tol=1e-12))
+    return sum_rate(ErgodicConfig(num_users, power, corr, alpha)), power
 
 
 def ergodic_report(cfg: ErgodicConfig) -> ErgodicReport:

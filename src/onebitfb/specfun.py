@@ -145,7 +145,7 @@ _LOG_T_TOP = math.log(45.0)
 _LOG_TINY = math.log(1e-17)
 
 
-def integrate_semi_infinite(log_mgf, log1p_mean: float) -> float:
+def integrate_semi_infinite(log_mgf, log1p_mean: float):
     """E[log(1 + X)] of a nonnegative X, from its moment generating function.
 
     Hamdi's lemma (IEEE Trans. Commun. 58(2), 2010):
@@ -155,6 +155,13 @@ def integrate_semi_infinite(log_mgf, log1p_mean: float) -> float:
     ``log_mgf(t)`` returns log M at an array of t; it runs with numpy's
     overflow warning off.  ``log1p_mean`` is log(1 + E X), which the caller
     forms so that it does not overflow where E X does.
+
+    ``log_mgf`` may instead return a pair (log M, H), H an (m, len(t))
+    array; the result is then the pair (E[log(1 + X)], the m integrals
+    int_0^inf H(t) e^-t dt / t) from the same nodes.  Derivatives of the
+    rate in a parameter of M are integrals of this kind, with H = M times
+    the derivative of -log M; they must vanish like t as t -> 0, as
+    1 - M does.
 
     The trapezoid rule with step ``_STEP`` in s = ln t, over t from
     1e-17 / (e (1 + E X)), below which the integrand in s is under 1e-17 of
@@ -168,5 +175,8 @@ def integrate_semi_infinite(log_mgf, log1p_mean: float) -> float:
     """
     t = np.exp(np.arange(_LOG_T_TOP, _LOG_TINY - log1p_mean - 1.0, -_STEP))
     with np.errstate(over="ignore"):
-        log_m = log_mgf(t)
-    return min(_STEP * float(np.dot(-np.expm1(log_m), np.exp(-t))), log1p_mean)
+        out = log_mgf(t)
+    log_m, extra = out if isinstance(out, tuple) else (out, None)
+    decay = np.exp(-t)
+    rate = min(_STEP * float(np.dot(-np.expm1(log_m), decay)), log1p_mean)
+    return rate if extra is None else (rate, _STEP * (extra @ decay))

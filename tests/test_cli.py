@@ -413,6 +413,20 @@ class TestRejectedInputs:
         assert code == 0
         assert float(parse_csv(out)[1][0][column]) == 1.0
 
+    @pytest.mark.parametrize("argv,out", [
+        (("ergodic", "--k", "4", "--rho", "0.5", "--alpha", "1"), "missing/x.csv"),
+        (("ergodic", "--k", "4", "--rho", "0.5", "--alpha", "1"), "."),
+        (("figure", "fig2"), "missing/f.csv"),
+    ])
+    def test_unwritable_out_is_rejected_first(self, capsys, monkeypatch, tmp_path, argv, out):
+        def no_rates(*args):
+            raise AssertionError("a rate was computed before --out was checked")
+
+        monkeypatch.setattr(cli.ergodic, "integrate_semi_infinite", no_rates)
+        code, err = exit_status(capsys, *argv, "--out", str(tmp_path / out))
+        assert code == 2
+        assert "--out" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("k", ["5000", "1000000"])
     def test_unbounded_p0_is_a_numerical_failure(self, capsys, k):
         # (1 - e^{-alpha})^K underflows: P0 is inf at K = 5000 and 1/0 at 1e6.

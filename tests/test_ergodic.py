@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from scipy import integrate, special
 
 from onebitfb import ergodic
 from onebitfb.channel import CorrelationParams
+from onebitfb.cli import main as cli_main
 from onebitfb.ergodic import (
     ErgodicConfig,
     ThresholdPolicy,
@@ -25,7 +27,7 @@ from onebitfb.ergodic import (
     sum_rate_upper,
     wideband_metrics,
 )
-from onebitfb.specfun import QuadratureSpec, marcum_q1
+from onebitfb.specfun import marcum_q1
 
 LOG2 = math.log(2.0)
 
@@ -39,12 +41,6 @@ FULL_CSI_GOLDEN_4_10 = 2.94079210910671
 # Frozen from a 201-point fine-grid argmax around the package optimum,
 # rate evaluated at abs_tol 1e-12.
 ALPHA_OPT_GOLDEN_100_100_09 = 3.0811911443589137
-
-TIGHT = QuadratureSpec(
-    abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=2000, tail_cutoff_tol=1e-18
-)
-# The quadrature tolerance of the low-SNR figure (fig2).
-FIG2_QUAD = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
 
 
 def expx_e1(x: float) -> float:
@@ -121,10 +117,10 @@ class TestSumRate:
     def test_linear_approach_to_rho_one(self, k, power, alpha, slope):
         # |R(rho) - R(1)| / (1 - rho) settles to a constant: the rate is O(1 - rho)
         # from the instantaneous closed form, down to the |rho| = 1 cutoff.
-        at_one = sum_rate(ErgodicConfig(k, power, CorrelationParams(1.0), alpha), TIGHT)
+        at_one = sum_rate(ErgodicConfig(k, power, CorrelationParams(1.0), alpha))
         for one_minus_rho in (1e-3, 1e-6, 1.5e-9):
             cfg = ErgodicConfig(k, power, CorrelationParams(1.0 - one_minus_rho), alpha)
-            gap = abs(sum_rate(cfg, TIGHT) - at_one)
+            gap = abs(sum_rate(cfg) - at_one)
             assert gap / one_minus_rho == pytest.approx(slope, rel=1e-3)
 
     @pytest.mark.parametrize("one_minus_rho", [1e-7, 1e-8])
@@ -144,7 +140,7 @@ class TestSumRate:
             integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
             for a, b in zip(cuts, cuts[1:])
         )
-        got = sum_rate(ErgodicConfig(k, power, CorrelationParams(rho), alpha), TIGHT)
+        got = sum_rate(ErgodicConfig(k, power, CorrelationParams(rho), alpha))
         assert got == pytest.approx(want, rel=1e-12)
 
     # The last three are far past where the conditional density's Marcum-Q
@@ -158,7 +154,7 @@ class TestSumRate:
         monkeypatch.setattr(ergodic, "prob_some_above", lambda alpha, k: 1.0)
         cfg = ErgodicConfig(4, 100.0, CorrelationParams(rho), alpha)
         want = rician_mixture_rate(100.0, rho, alpha)
-        assert sum_rate(cfg, TIGHT) == pytest.approx(want, rel=1e-12)
+        assert sum_rate(cfg) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("k,snr_db,rho,alpha", [
         (4, -25.0, 0.1, 1.0), (4, 20.0, 0.9, 0.5), (16, 60.0, 0.5, 2.0), (64, 0.0, 0.99, 3.5),
@@ -271,7 +267,7 @@ class TestThresholds:
         c = CorrelationParams(rho)
 
         def rate(alpha):
-            return sum_rate(ErgodicConfig(k, 100.0, c, alpha), TIGHT)
+            return sum_rate(ErgodicConfig(k, 100.0, c, alpha))
 
         grid_best = max(rate(a) for a in np.arange(0.0, math.log(k) + 6.0 + 1e-9, 0.05))
         assert rate(optimal_threshold(k, 100.0, c)) >= grid_best * (1.0 - 1e-9)
@@ -319,42 +315,25 @@ class TestWideband:
     def test_inversion_just_above_minimum(self):
         c = CorrelationParams(0.9)
         target = wideband_metrics(3.0, 100, c).ebn0_min_db + 0.05
-        rate, power = rate_at_ebn0(target, 100, c, 3.0, FIG2_QUAD)
+        rate, power = rate_at_ebn0(target, 100, c, 3.0)
         assert ebn0_db_from_power(rate, power) == pytest.approx(target, abs=1e-6)
 
-    def test_inversion_is_bisection_over_sum_rate(self):
-        # The same bisection written over the public sum_rate.  The middle case
-        # follows one at another alpha, the last one at another rho: a density
-        # kept from an earlier call would change their results.
-        def bisect(ebn0_db, k, corr, alpha, quad):
-            def point(log_power):
-                power = math.exp(log_power)
-                return sum_rate(ErgodicConfig(k, power, corr, alpha), quad), power
-
-            lo, up = math.log(1e-10), 0.0
-            best = point(up)
-            while ebn0_db_from_power(*best) < ebn0_db:
-                lo, up = up, up + 4.0
-                best = point(up)
-            while up - lo > 1e-12:
-                mid = 0.5 * (lo + up)
-                trial = point(mid)
-                if ebn0_db_from_power(*trial) < ebn0_db:
-                    lo = mid
-                else:
-                    up, best = mid, trial
-            return best
-
+    def test_inversion_carries_no_state(self):
+        # The middle case follows one at another alpha, the last one at another
+        # rho: anything kept from an earlier call would change their results.
         cases = [(3.0, CorrelationParams(0.9)), (1.0, CorrelationParams(0.9)),
                  (1.0, CorrelationParams(0.7))]
-        args = [(wideband_metrics(a, 100, c).ebn0_min_db + 3.0, 100, c, a, FIG2_QUAD)
-                for a, c in cases]
+        args = [(wideband_metrics(a, 100, c).ebn0_min_db + 3.0, 100, c, a) for a, c in cases]
         got = [rate_at_ebn0(*arg) for arg in args]
-        assert got == [bisect(*arg) for arg in args]
+        fresh = [rate_at_ebn0(*arg) for arg in reversed(args)][::-1]
+        assert got == fresh
+        for (target, k, corr, alpha), (rate, power) in zip(args, got):
+            assert rate == sum_rate(ErgodicConfig(k, power, corr, alpha))
+            assert abs(ebn0_db_from_power(rate, power) - target) <= 1e-9
 
     @staticmethod
     def _marcum_elements(monkeypatch, rho):
-        """Marcum-Q elements one fig2-tolerance inversion evaluates at K=100, alpha=3."""
+        """Marcum-Q elements one inversion evaluates at K=100, alpha=3."""
         elements = []
 
         def counting(a, b):
@@ -364,7 +343,7 @@ class TestWideband:
 
         monkeypatch.setattr(ergodic, "marcum_q1", counting)
         c = CorrelationParams(rho)
-        rate_at_ebn0(wideband_metrics(3.0, 100, c).ebn0_min_db + 3.0, 100, c, 3.0, FIG2_QUAD)
+        rate_at_ebn0(wideband_metrics(3.0, 100, c).ebn0_min_db + 3.0, 100, c, 3.0)
         return sum(elements)
 
     def test_inversion_below_cap_evaluates_no_marcum(self, monkeypatch):
@@ -374,7 +353,7 @@ class TestWideband:
     def test_inversion_no_csi_closed_form(self):
         # K=1, rho=0, alpha=0: R(P) = e^{1/P} E1(1/P), so the point must
         # satisfy that closed form as well as hit the target.
-        rate, power = rate_at_ebn0(-1.5, 1, CorrelationParams(0.0), 0.0, FIG2_QUAD)
+        rate, power = rate_at_ebn0(-1.5, 1, CorrelationParams(0.0), 0.0)
         assert rate == pytest.approx(0.021341, abs=5e-7)
         assert rate == pytest.approx(no_csi_rate(power), rel=1e-14)
         assert ebn0_db_from_power(rate, power) == pytest.approx(-1.5, abs=1e-9)
@@ -391,6 +370,105 @@ class TestWideband:
         wb = wideband_metrics(0.0, 1, CorrelationParams(0.0))
         rate, power = rate_at_ebn0(wb.ebn0_min_db - 1.0, 1, CorrelationParams(0.0), 0.0)
         assert rate == 0.0 and power == 0.0
+
+
+def rate_derivatives(k, power, rho, alpha):
+    """dR/dalpha, d^2R/dalpha^2 and dR/dP from the terms the Newton searches use."""
+    r = rho * rho
+    rate, (mq, mq2, p_drate) = ergodic._log1p_mean(power, alpha * r, 1.0 - r, derivatives=True)
+    prob = prob_some_above(alpha, k)
+    log_hazard, dlog_slope = ergodic._log_hazard(alpha, k)
+    dprob = -prob * math.exp(log_hazard)
+    ddprob = dprob * dlog_slope
+    return (dprob * rate + prob * r * mq,
+            ddprob * rate + 2.0 * dprob * r * mq - prob * r * r * mq2,
+            prob * p_drate / power)
+
+
+def count_passes(monkeypatch):
+    """A list that grows by one per pass of the traced rate integral."""
+    passes = []
+    integrate = ergodic.integrate_semi_infinite
+
+    def counting(*args):
+        passes.append(1)
+        return integrate(*args)
+
+    monkeypatch.setattr(ergodic, "integrate_semi_infinite", counting)
+    return passes
+
+
+class TestNewtonSearches:
+    @pytest.mark.parametrize("k", [1, 10**6])
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    @pytest.mark.parametrize("power", [1e-10, 1e15])
+    def test_derivatives_match_central_differences(self, k, rho, power):
+        c = CorrelationParams(rho)
+        alpha = math.log(k) + 1.5
+
+        def rate(a, p=power):
+            return sum_rate(ErgodicConfig(k, p, c, a))
+
+        d1, d2, dp = rate_derivatives(k, power, rho, alpha)
+        h = 1e-4
+        assert d1 == pytest.approx((rate(alpha + h) - rate(alpha - h)) / (2 * h), rel=1e-7)
+        h2 = 1e-3
+        fd2 = (rate(alpha + h2) - 2.0 * rate(alpha) + rate(alpha - h2)) / (h2 * h2)
+        assert d2 == pytest.approx(fd2, rel=1e-6)
+        fdp = (rate(alpha, power * (1 + h)) - rate(alpha, power * (1 - h))) / (2 * h * power)
+        assert dp == pytest.approx(fdp, rel=1e-7)
+
+    @pytest.mark.parametrize("k,rho,power", [(2, 0.5, 1e-10), (16, 1.0, 100.0), (64, 0.5, 1e15),
+                                             (10**6, 1.0, 1e-10), (10**6, 0.9, 100.0)])
+    def test_optimum_is_stationary(self, k, rho, power):
+        c = CorrelationParams(rho)
+        alpha = optimal_threshold(k, power, c)
+        d1, _, _ = rate_derivatives(k, power, rho, alpha)
+        rate = sum_rate(ErgodicConfig(k, power, c, alpha))
+        # Each term of dR/dalpha is about R; they cancel to roundoff.
+        assert abs(d1) <= 1e-13 * rate
+        for a in (alpha - 1e-3, alpha + 1e-3):
+            assert rate >= sum_rate(ErgodicConfig(k, power, c, a))
+
+    def test_pass_counts(self, monkeypatch):
+        passes = count_passes(monkeypatch)
+        search, inversion = [], []
+        for k in (1, 2, 64, 10**6):
+            for rho in (0.0, 0.5, 1.0):
+                c = CorrelationParams(rho)
+                for power in np.geomspace(1e-10, 1e15, 26):
+                    passes.clear()
+                    optimal_threshold(k, float(power), c)
+                    search.append(len(passes))
+                for alpha in (0.0, 1.0, math.log(k)):
+                    ebn0_min = wideband_metrics(alpha, k, c).ebn0_min_db
+                    for offset in np.geomspace(1e-6, 100.0, 17):
+                        passes.clear()
+                        rate_at_ebn0(ebn0_min + float(offset), k, c, alpha)
+                        inversion.append(len(passes))
+        # The inversion's last pass is its sum_rate call at the root.
+        assert max(search) == 6
+        assert max(inversion) == 7
+
+    def test_step_limit_raises(self, monkeypatch, capsys):
+        monkeypatch.setattr(ergodic, "_MAX_STEPS", 2)
+        c = CorrelationParams(0.9)
+        with pytest.raises(ArithmeticError, match="optimal_threshold.*2 Newton steps"):
+            optimal_threshold(64, 100.0, c)
+        with pytest.raises(ArithmeticError, match="rate_at_ebn0.*2 Newton steps"):
+            rate_at_ebn0(wideband_metrics(3.0, 100, c).ebn0_min_db + 3.0, 100, c, 3.0)
+        assert cli_main(["ergodic", "--k", "64", "--rho", "0.9", "--alpha", "optimal"]) == 3
+        assert "optimal_threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("power,alpha", [(1.7e308, 0.0), (1.7e308, 1e-300), (1e308, 0.5),
+                                             (1e300, 1e6)])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0 - 1e-16, 1.0])
+    def test_derivative_terms_near_float_limit(self, power, alpha, rho):
+        r = rho * rho
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rate, extra = ergodic._log1p_mean(power, alpha * r, 1.0 - r, derivatives=True)
+        assert math.isfinite(rate) and np.isfinite(extra).all() and (extra >= 0.0).all()
 
 
 class TestDiagnostics:

@@ -38,3 +38,26 @@ def test_install_wraps_and_restore_unwraps():
     assert tracer.counts["specfun.integrand_evals"] == 3
     assert tracer.summary()["specfun.integrate_semi_infinite"]["calls"] == 3
     assert {key: getattr(*key) for key in before} == before
+
+
+def test_optimizer_records_one_traced_integral_per_pass(monkeypatch):
+    tracing = _load_tracing()
+    pkg = types.SimpleNamespace(channel=channel, cli=cli, ergodic=ergodic, mcsim=mcsim,
+                                outage=outage, specfun=specfun)
+    passes = []
+    log1p_mean = ergodic._log1p_mean
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return log1p_mean(*args, **kwargs)
+
+    monkeypatch.setattr(ergodic, "_log1p_mean", counting)
+    tracer = tracing.Tracer()
+    tracing.install(tracer, pkg)
+    try:
+        ergodic.optimal_threshold(64, 100.0, channel.CorrelationParams(0.9))
+    finally:
+        tracer.restore()
+    assert len(passes) > 0
+    assert tracer.summary()["specfun.integrate_semi_infinite"]["calls"] == len(passes)
+    assert tracer.counts["specfun.integrand_evals"] == len(passes)
