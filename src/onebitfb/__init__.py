@@ -3,15 +3,11 @@ with 1-bit, possibly delay-outdated, channel feedback."""
 
 from .channel import (
     CorrelationParams,
-    JakesParams,
     rho_from_jakes,
 )
 from .ergodic import (
     ErgodicConfig,
-    ErgodicReport,
-    ThresholdPolicy,
     WidebandReport,
-    ergodic_report,
     optimal_threshold,
     prob_some_above,
     sum_rate,

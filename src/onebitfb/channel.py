@@ -15,7 +15,6 @@ from scipy import special as sc
 
 __all__ = [
     "CorrelationParams",
-    "JakesParams",
     "rho_from_jakes",
 ]
 
@@ -44,18 +43,8 @@ class CorrelationParams:
         return 1.0 - self.abs_rho < RHO_ONE_TOL
 
 
-@dataclass(frozen=True)
-class JakesParams:
-    """Doppler spread (Hz) and feedback delay (s) for Jakes' correlation map."""
-
-    doppler_hz: float
-    delay_s: float
-
-    def __post_init__(self):
-        if self.doppler_hz < 0 or self.delay_s < 0:
-            raise ValueError("doppler_hz and delay_s must be nonnegative")
-
-
-def rho_from_jakes(params: JakesParams) -> CorrelationParams:
-    """Map (Doppler, delay) to the correlation coefficient J0(2 pi f_D tau)."""
-    return CorrelationParams(float(sc.j0(2.0 * math.pi * params.doppler_hz * params.delay_s)))
+def rho_from_jakes(doppler_hz: float, delay_s: float) -> CorrelationParams:
+    """Map Doppler spread (Hz) and feedback delay (s) to the correlation J0(2 pi f_D tau)."""
+    if doppler_hz < 0 or delay_s < 0:
+        raise ValueError("doppler_hz and delay_s must be nonnegative")
+    return CorrelationParams(float(sc.j0(2.0 * math.pi * doppler_hz * delay_s)))

@@ -54,21 +54,34 @@ def _write_table(path, fmt, meta: dict, columns: list[str], rows: list[dict]):
             fh.write(text)
 
 
+# The default --alpha.  The optimizer is looked up at each call, so a wrapper
+# put on ergodic.optimal_threshold after import (perfbench's tracer) sees it.
+_OPTIMAL = ("optimal", lambda k, power, corr: ergodic.optimal_threshold(k, power, corr))
+
+
 def _parse_alpha(text: str):
-    """--alpha (optimal, suboptimal:<delta> or a number) as (text as typed, policy)."""
+    """--alpha as (text as typed, rule): the rule is a number, or a function of
+    (K, power, correlation) that gives one, for ``optimal`` and ``suboptimal:<delta>``."""
+    if text == "optimal":
+        return _OPTIMAL
+    suboptimal = text.startswith("suboptimal:")
     try:
-        if text == "optimal":
-            policy = ergodic.ThresholdPolicy("optimal")
-        elif text.startswith("suboptimal:"):
-            policy = ergodic.ThresholdPolicy("suboptimal", delta=float(text.split(":", 1)[1]))
-        else:
-            policy = ergodic.ThresholdPolicy("fixed", alpha=float(text))
+        value = float(text.split(":", 1)[1] if suboptimal else text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    return text, policy
+    if suboptimal:
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError("suboptimal policy needs a finite delta > 0")
+        return text, lambda k, power, corr: ergodic.suboptimal_threshold(k, value)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("fixed policy needs a finite alpha >= 0")
+    return text, value
 
 
-_OPTIMAL = _parse_alpha("optimal")
+def _alpha(args, k: int, power: float, corr: channel.CorrelationParams) -> float:
+    """The threshold --alpha (default optimal) gives at K users, power and correlation."""
+    rule = (args.alpha or _OPTIMAL)[1]
+    return rule if isinstance(rule, float) else rule(k, power, corr)
 
 
 def _parse_power_mode(text: str) -> outage.PowerMode:
@@ -120,7 +133,7 @@ def _resolve_rho(args) -> channel.CorrelationParams:
     if args.rho is not None or (args.sweep and args.sweep[0] == "rho"):
         flag = "--rho" if args.rho is not None else "--sweep rho"
         raise ValueError(f"{flag} conflicts with --doppler-hz and --delay-s: give one source of rho")
-    return channel.rho_from_jakes(channel.JakesParams(args.doppler_hz, args.delay_s))
+    return channel.rho_from_jakes(args.doppler_hz, args.delay_s)
 
 
 def _rate_nats(args) -> float:
@@ -128,17 +141,12 @@ def _rate_nats(args) -> float:
         return args.rate_nats
     if args.rate_bits is not None:
         return args.rate_bits * _LOG2
-    raise SystemExit(_usage_error("outage commands require --rate-bits or --rate-nats"))
+    raise ValueError("outage commands require --rate-bits or --rate-nats")
 
 
 def _snr_db(args) -> float:
     """--snr-db, or 20 dB; the flag defaults to None so a command can tell it was given."""
     return 20.0 if args.snr_db is None else args.snr_db
-
-
-def _usage_error(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
 
 
 # Every flag any subcommand takes; each subcommand adds only those it reads.
@@ -187,7 +195,7 @@ def _sweep_rows(args, rows_at, base: dict, sweep) -> list[dict]:
     if sweep is not None:
         name, values = sweep
         if name not in base:
-            raise SystemExit(_usage_error(f"--sweep: unknown parameter {name!r}"))
+            raise ValueError(f"--sweep: unknown parameter {name!r}")
         points = [{**base, name: int(round(v)) if name == "k" else v} for v in values]
     rows = []
     for point in points:
@@ -208,33 +216,33 @@ def _outage_alpha(args, power: float, rate: float) -> float:
     """Outage thresholds are numeric or omitted (the zero-outage threshold)."""
     if args.alpha is None:
         return outage.default_threshold(args.power_mode, power, rate)
-    policy = args.alpha[1]
-    if policy.kind != "fixed":
-        raise SystemExit(_usage_error("outage thresholds must be numeric or omitted"))
-    return policy.alpha
+    rule = args.alpha[1]
+    if not isinstance(rule, float):
+        raise ValueError("outage thresholds must be numeric or omitted")
+    return rule
 
 
 def _ergodic_rows(args, pt):
     corr, power = _channel(pt, pt["snr_db"])
-    alpha = (args.alpha or _OPTIMAL)[1].resolve(pt["k"], power, corr)
-    rep = ergodic.ergodic_report(ergodic.ErgodicConfig(pt["k"], power, corr, alpha))
+    alpha = _alpha(args, pt["k"], power, corr)
+    cfg = ergodic.ErgodicConfig(pt["k"], power, corr, alpha)
+    rate = ergodic.sum_rate(cfg)
     yield {
         **pt,
         "alpha": alpha,
-        "rate_nats": rep.rate_nats,
-        "rate_bits": rep.rate_nats / _LOG2,
-        "upper_nats": rep.upper_nats,
-        "lower_nats": rep.lower_nats,
-        "prob_transmit": rep.prob_transmit,
+        "rate_nats": rate,
+        "rate_bits": rate / _LOG2,
+        "upper_nats": ergodic.sum_rate_upper(cfg),
+        "lower_nats": ergodic.sum_rate_lower(cfg),
+        "prob_transmit": ergodic.prob_some_above(alpha, pt["k"]),
     }
 
 
 def _wideband_rows(args, pt):
-    policy = (args.alpha or _OPTIMAL)[1]
-    if args.snr_db is not None and policy.kind != "optimal":
-        raise SystemExit(_usage_error("wideband reads --snr-db only with --alpha optimal"))
+    if args.snr_db is not None and (args.alpha or _OPTIMAL)[0] != "optimal":
+        raise ValueError("wideband reads --snr-db only with --alpha optimal")
     corr, power = _channel(pt, _snr_db(args))
-    alpha = policy.resolve(pt["k"], power, corr)
+    alpha = _alpha(args, pt["k"], power, corr)
     rep = ergodic.wideband_metrics(alpha, pt["k"], corr)
     yield {
         **pt,
@@ -273,7 +281,7 @@ def _simulate_rows(args, pt):
     corr, power = _channel(pt, pt["snr_db"])
     if args.rate_bits is None and args.rate_nats is None:
         rate = mode = None
-        alpha = (args.alpha or _OPTIMAL)[1].resolve(pt["k"], power, corr)
+        alpha = _alpha(args, pt["k"], power, corr)
     else:
         rate, mode = _rate_nats(args), args.power_mode
         alpha = _outage_alpha(args, power, rate)

@@ -1,8 +1,8 @@
 """Ergodic sum-rate of the 1-bit feedback scheme with outdated CSI.
 
-Closed-form rate, Jensen upper / truncation lower bounds, threshold policies
-and the numerical threshold optimizer, wideband (low-SNR) metrics and the
-Eb/N0 inversion, and the full-CSI and no-CSI reference rates.
+Closed-form rate, Jensen upper / truncation lower bounds, the log K - delta
+threshold rule and the numerical threshold optimizer, wideband (low-SNR)
+metrics and the Eb/N0 inversion, and the full-CSI and no-CSI reference rates.
 
 All rates are in nats per channel use; the CLI converts to bits.
 """
@@ -19,8 +19,6 @@ from .specfun import QuadratureSpec, integrate_semi_infinite, marcum_q1, marcum_
 
 __all__ = [
     "ErgodicConfig",
-    "ErgodicReport",
-    "ThresholdPolicy",
     "WidebandReport",
     "prob_some_above",
     "sum_rate",
@@ -33,7 +31,6 @@ __all__ = [
     "affine_rate_approx",
     "ebn0_db_from_power",
     "rate_at_ebn0",
-    "ergodic_report",
     "full_csi_rate",
     "no_csi_rate",
 ]
@@ -63,42 +60,6 @@ class ErgodicConfig:
             raise ValueError("threshold must be nonnegative and finite")
         if not math.isfinite(self.power * (1.0 + self.threshold)):  # log(1 + alpha P) needs it
             raise OverflowError("power * (1 + threshold) overflows")
-
-
-@dataclass(frozen=True)
-class ErgodicReport:
-    rate_nats: float
-    upper_nats: float
-    lower_nats: float
-    prob_transmit: float
-
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """Threshold selection rule: fixed value, log K - delta, or optimized."""
-
-    kind: str  # "fixed" | "suboptimal" | "optimal"
-    alpha: float | None = None
-    delta: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "suboptimal", "optimal"):
-            raise ValueError(f"unknown threshold policy {self.kind!r}")
-        if self.kind == "fixed" and not (
-            self.alpha is not None and math.isfinite(self.alpha) and self.alpha >= 0
-        ):
-            raise ValueError("fixed policy needs a finite alpha >= 0")
-        if self.kind == "suboptimal" and not (
-            self.delta is not None and math.isfinite(self.delta) and self.delta > 0
-        ):
-            raise ValueError("suboptimal policy needs a finite delta > 0")
-
-    def resolve(self, num_users: int, power: float, corr: CorrelationParams) -> float:
-        if self.kind == "fixed":
-            return float(self.alpha)
-        if self.kind == "suboptimal":
-            return suboptimal_threshold(num_users, self.delta)
-        return optimal_threshold(num_users, power, corr)
 
 
 @dataclass(frozen=True)
@@ -349,10 +310,11 @@ def affine_rate_approx(ebn0_db: float, report: WidebandReport) -> float:
 
 
 def ebn0_db_from_power(rate_nats: float, power: float) -> float:
-    """Eb/N0 (dB) implied by a rate/power operating point: P / R_bits."""
+    """Eb/N0 (dB) implied by a rate/power operating point: P / R_bits, taken in
+    logs since the quotient overflows where R_bits is small and P large."""
     if rate_nats <= 0:
         raise ValueError("rate must be positive")
-    return 10.0 * math.log10(power / (rate_nats / _LOG2))
+    return 10.0 * (math.log10(power) - math.log10(rate_nats / _LOG2))
 
 
 def rate_at_ebn0(
@@ -397,16 +359,6 @@ def rate_at_ebn0(
     power = math.exp(_newton(newton_step, math.log(start), -math.inf, math.inf, "rate_at_ebn0",
                              f_tol=1e-12))
     return sum_rate(ErgodicConfig(num_users, power, corr, alpha)), power
-
-
-def ergodic_report(cfg: ErgodicConfig) -> ErgodicReport:
-    """Rate plus both bounds and the transmit probability, in one pass."""
-    return ErgodicReport(
-        rate_nats=sum_rate(cfg),
-        upper_nats=sum_rate_upper(cfg),
-        lower_nats=sum_rate_lower(cfg),
-        prob_transmit=prob_some_above(cfg.threshold, cfg.num_users),
-    )
 
 
 def full_csi_rate(num_users: int, power: float) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from onebitfb.channel import CorrelationParams, JakesParams, rho_from_jakes
+from onebitfb.channel import CorrelationParams, rho_from_jakes
 from onebitfb.mcsim import _draw_blocks
 from onebitfb.specfun import marcum_q1
 
@@ -61,15 +61,16 @@ class TestParams:
 
     def test_jakes_golden(self):
         # J0(2*pi*50*0.001), frozen via mpmath besselj
-        c = rho_from_jakes(JakesParams(doppler_hz=50.0, delay_s=0.001))
+        c = rho_from_jakes(doppler_hz=50.0, delay_s=0.001)
         assert c.rho == pytest.approx(0.9754777740752495, rel=1e-13)
 
     def test_jakes_zero_delay(self):
-        assert rho_from_jakes(JakesParams(100.0, 0.0)).rho == 1.0
+        assert rho_from_jakes(100.0, 0.0).rho == 1.0
 
     def test_jakes_validation(self):
-        with pytest.raises(ValueError):
-            JakesParams(-1.0, 0.001)
+        for doppler_hz, delay_s in ((-1.0, 0.001), (50.0, -1e-3)):
+            with pytest.raises(ValueError, match="doppler_hz and delay_s"):
+                rho_from_jakes(doppler_hz, delay_s)
 
 
 class TestDensities:

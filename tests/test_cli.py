@@ -109,9 +109,9 @@ class TestOtherCommands:
             assert 0.0 <= float(rows[0]["eps"]) <= 1.0
 
     def test_outage_requires_rate(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            run(capsys, "outage", "--k", "8", "--power-mode", "short-term")
-        assert e.value.code == 2
+        code, _, err = run(capsys, "outage", "--k", "8", "--power-mode", "short-term")
+        assert code == 2
+        assert "--rate-bits" in err
 
     def test_dmt_alias(self, capsys):
         code, out, _ = run(capsys, "dmt", "--scheme", "outdated", "--k", "16")
@@ -186,9 +186,9 @@ class TestErrors:
         assert "error" in err
 
     def test_bad_sweep_param(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            run(capsys, "ergodic", "--sweep", "bogus=0:1:2")
-        assert e.value.code == 2
+        code, _, err = run(capsys, "ergodic", "--sweep", "bogus=0:1:2")
+        assert code == 2
+        assert "--sweep" in err and "bogus" in err
 
     def test_malformed_sweep(self, capsys):
         with pytest.raises(SystemExit):
@@ -381,6 +381,15 @@ class TestRejectedInputs:
              "--doppler-hz"),
             (("outage", "--doppler-hz", "50", "--delay-s", "0.001", "--rate-bits", "1",
               "--sweep", "rho=0:0.9:3"), 2, "--sweep"),
+            # --alpha is optimal, suboptimal:<delta> with a finite delta > 0, or a
+            # finite number >= 0.
+            (("ergodic", "--alpha", "bogus"), 2, "--alpha"),
+            (("ergodic", "--alpha", "-1"), 2, "--alpha"),
+            (("ergodic", "--alpha", "nan"), 2, "--alpha"),
+            (("ergodic", "--alpha", "inf"), 2, "--alpha"),
+            (("ergodic", "--alpha", "suboptimal:0"), 2, "delta"),
+            (("ergodic", "--alpha", "suboptimal:nan"), 2, "delta"),
+            (("ergodic", "--alpha", "suboptimal:inf"), 2, "delta"),
         ],
     )
     def test_messages_name_the_argument(self, capsys, argv, code, name):
@@ -456,8 +465,8 @@ print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.module
 
 # CLI fuzz: argv built from cli._FLAGS, each flag with extremes of its valid
 # range and a few invalid values.  simulate takes K from its own short list,
-# since its arrays grow with K times --n-blocks; fig1, fig2 (tens of seconds
-# each) and large --n-blocks are left out.
+# since its arrays grow with K times --n-blocks, and large --n-blocks are left
+# out.  fig1 and fig2 take tens of milliseconds in-process.
 _FUZZ_VALUES = {
     "k": ["0", "1", "2", "16", "1000000", "1000000000000"],
     "snr-db": ["-300", "-60", "0", "20", "60", "300", "nan"],
@@ -493,7 +502,8 @@ def _own_flags(command):
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(["ergodic", "wideband", "outage", "dmt", "simulate",
-                                    "figure fig3", "figure fig4", "figure fig5"]))
+                                    "figure fig1", "figure fig2", "figure fig3",
+                                    "figure fig4", "figure fig5"]))
     simulate = command == "simulate"
     argv = command.split()
     flags = _own_flags(command) + ["format"]

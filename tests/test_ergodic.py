@@ -11,10 +11,8 @@ from onebitfb.channel import CorrelationParams
 from onebitfb.cli import main as cli_main
 from onebitfb.ergodic import (
     ErgodicConfig,
-    ThresholdPolicy,
     affine_rate_approx,
     ebn0_db_from_power,
-    ergodic_report,
     full_csi_rate,
     no_csi_rate,
     optimal_threshold,
@@ -276,21 +274,6 @@ class TestThresholds:
         with pytest.raises(ValueError, match="num_users"):
             optimal_threshold(0, 10.0, CorrelationParams(0.5))
 
-    def test_policy_resolution(self):
-        c = CorrelationParams(0.9)
-        assert ThresholdPolicy("fixed", 1.25).resolve(8, 10.0, c) == 1.25
-        sub = ThresholdPolicy("suboptimal", delta=1.0).resolve(8, 10.0, c)
-        assert sub == pytest.approx(math.log(8) - 1.0)
-        opt = ThresholdPolicy("optimal").resolve(8, 10.0, c)
-        assert opt == pytest.approx(optimal_threshold(8, 10.0, c))
-        with pytest.raises(ValueError):
-            ThresholdPolicy("bogus")
-        for bad in (math.nan, math.inf, -1.0):
-            with pytest.raises(ValueError, match="alpha"):
-                ThresholdPolicy("fixed", bad)
-            with pytest.raises(ValueError, match="delta"):
-                ThresholdPolicy("suboptimal", delta=bad)
-
 
 class TestWideband:
     def test_limit_pins(self):
@@ -330,6 +313,19 @@ class TestWideband:
         for (target, k, corr, alpha), (rate, power) in zip(args, got):
             assert rate == sum_rate(ErgodicConfig(k, power, corr, alpha))
             assert abs(ebn0_db_from_power(rate, power) - target) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 30.0, 700.0])
+    def test_inversion_hits_its_target(self, alpha):
+        # P / R_bits overflows at large alpha and target, where R_bits carries
+        # Pr(N>0) = e^-alpha; the implied Eb/N0 is taken here in logs.
+        for k in (1, 4, 10**6):
+            for rho in (0.0, 0.5, 1.0):
+                c = CorrelationParams(rho)
+                floor = wideband_metrics(alpha, k, c).ebn0_min_db
+                for offset in (1e-9, 1.0, 30.0, 300.0):
+                    rate, power = rate_at_ebn0(floor + offset, k, c, alpha)
+                    implied = 10.0 * (math.log10(power) - math.log10(rate / LOG2))
+                    assert abs(implied - (floor + offset)) <= 1e-9, (k, rho, offset, power)
 
     @staticmethod
     def _marcum_elements(monkeypatch, rho):
@@ -489,9 +485,9 @@ class TestDiagnostics:
 
     def test_report_consistency(self):
         cfg = ErgodicConfig(8, 25.0, CorrelationParams(0.7), 1.0)
-        rep = ergodic_report(cfg)
-        assert rep.lower_nats <= rep.rate_nats <= rep.upper_nats
-        assert rep.prob_transmit == pytest.approx(prob_some_above(1.0, 8))
+        assert sum_rate_lower(cfg) <= sum_rate(cfg) <= sum_rate_upper(cfg)
+        want = 1.0 - (1.0 - math.exp(-1.0)) ** 8
+        assert prob_some_above(1.0, 8) == pytest.approx(want, rel=1e-14)
 
 
 class TestReferences:

@@ -61,3 +61,21 @@ def test_optimizer_records_one_traced_integral_per_pass(monkeypatch):
     assert len(passes) > 0
     assert tracer.summary()["specfun.integrate_semi_infinite"]["calls"] == len(passes)
     assert tracer.counts["specfun.integrand_evals"] == len(passes)
+
+
+def test_tracer_sees_the_cli_optimizer(tmp_path):
+    # --alpha optimal and the default both call ergodic.optimal_threshold by
+    # name at run time, so a wrapper installed after import counts them.
+    tracing = _load_tracing()
+    pkg = types.SimpleNamespace(channel=channel, cli=cli, ergodic=ergodic, mcsim=mcsim,
+                                outage=outage, specfun=specfun)
+    tracer = tracing.Tracer()
+    tracing.install(tracer, pkg)
+    try:
+        out = str(tmp_path / "out.csv")
+        assert cli.main(["ergodic", "--k", "4", "--rho", "0.9", "--out", out]) == 0
+        assert cli.main(["ergodic", "--k", "4", "--rho", "0.9", "--alpha", "optimal",
+                         "--sweep", "snr-db=0:10:2", "--out", out]) == 0
+    finally:
+        tracer.restore()
+    assert tracer.summary()["ergodic.optimal_threshold"]["calls"] == 3
