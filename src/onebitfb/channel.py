@@ -11,10 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import special as sc
 
 __all__ = [
     "CorrelationParams",
+    "check_count",
+    "check_positive",
+    "check_nonnegative",
     "rho_from_jakes",
 ]
 
@@ -41,6 +45,27 @@ class CorrelationParams:
     @property
     def is_instantaneous(self) -> bool:
         return 1.0 - self.abs_rho < RHO_ONE_TOL
+
+
+# The rules for the other inputs of every closed form and config: a count
+# (K users, blocks), a positive value (P, R) and a nonnegative one (alpha,
+# P1, P0).  Each names the argument it rejects; NaN fails every test.
+def check_count(name: str, value) -> None:
+    """Reject ``value`` unless it is an int or numpy integer >= 1."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1")
+
+
+def check_positive(name: str, value) -> None:
+    """Reject ``value`` unless 0 < value < inf."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
+def check_nonnegative(name: str, value) -> None:
+    """Reject ``value`` unless 0 <= value < inf."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite")
 
 
 def rho_from_jakes(doppler_hz: float, delay_s: float) -> CorrelationParams:

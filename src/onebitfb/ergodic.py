@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CorrelationParams
+from .channel import CorrelationParams, check_count, check_nonnegative, check_positive
 from .specfun import QuadratureSpec, integrate_semi_infinite, marcum_q1, marcum_q1_asymptotic
 
 __all__ = [
@@ -52,12 +52,9 @@ class ErgodicConfig:
     threshold: float
 
     def __post_init__(self):
-        if self.num_users < 1:
-            raise ValueError("num_users must be >= 1")
-        if not (self.power > 0 and math.isfinite(self.power)):
-            raise ValueError("power must be positive and finite")
-        if not (math.isfinite(self.threshold) and self.threshold >= 0):
-            raise ValueError("threshold must be nonnegative and finite")
+        check_count("num_users", self.num_users)
+        check_positive("power", self.power)
+        check_nonnegative("threshold", self.threshold)
         if not math.isfinite(self.power * (1.0 + self.threshold)):  # log(1 + alpha P) needs it
             raise OverflowError("power * (1 + threshold) overflows")
 
@@ -75,10 +72,8 @@ def prob_some_above(alpha: float, num_users: int) -> float:
     1 - (1 - e^{-alpha})^K, computed via log1p/expm1 so the near-1 and
     near-0 regimes keep full relative precision.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if num_users < 1:
-        raise ValueError("num_users must be >= 1")
+    check_nonnegative("alpha", alpha)
+    check_count("num_users", num_users)
     miss = np.exp(-alpha)
     if miss == 1.0:  # alpha = 0, or too small to move e^-alpha off 1
         return 1.0
@@ -154,8 +149,7 @@ def rate_bracket(alpha: float, corr: CorrelationParams, asymptotic: bool = False
     large-argument Gaussian-prefactor approximation (the form under which
     the brace tends to 1 as alpha grows).
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    check_nonnegative("alpha", alpha)
     if corr.is_instantaneous:
         return 1.0
     r = corr.abs_rho
@@ -180,8 +174,7 @@ def sum_rate_lower(cfg: ErgodicConfig) -> float:
 
 def suboptimal_threshold(num_users: int, delta: float) -> float:
     """The log K - delta threshold rule."""
-    if num_users < 1:
-        raise ValueError("num_users must be >= 1")
+    check_count("num_users", num_users)
     log_k = math.log(num_users)
     if not 0.0 < delta < log_k:
         raise ValueError("suboptimal rule requires 0 < delta < log K")
@@ -223,8 +216,8 @@ def optimal_threshold(num_users: int, power: float, corr: CorrelationParams) -> 
     also gives I' and I'' (:func:`_log1p_mean`): at most 7 passes from
     K = 2 to 1e6, rho from 0.05 to 1 and P from 1e-10 to 1e15.
     """
-    if num_users < 1:
-        raise ValueError("num_users must be >= 1")
+    check_count("num_users", num_users)
+    check_positive("power", power)
     r = corr.rho ** 2
     if num_users == 1 or r == 0.0:
         return 0.0
@@ -280,14 +273,12 @@ def wideband_metrics(alpha: float, num_users: int, corr: CorrelationParams) -> W
     S0 = Pr(N>0) (1 + rho^2 alpha)^2 / (1 + 2 a r2 - a r2^2 + a^2 r2^2 / 2)
     with r2 = rho^2 and a = alpha.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    prob = prob_some_above(alpha, num_users)
-    if prob == 0.0:
-        raise OverflowError(f"alpha = {alpha:.6g}: Pr(N>0) underflows to 0; Eb/N0_min is infinite")
+    prob = prob_some_above(alpha, num_users)  # checks alpha and num_users
     r2 = corr.rho ** 2
     m2 = 1.0 + r2 * alpha
-    ebn0_min = _LOG2 / (prob * m2)
+    ebn0_min = _LOG2 / (prob * m2) if prob > 0.0 else math.inf
+    if ebn0_min == math.inf:
+        raise OverflowError(f"alpha = {alpha:.6g}: Pr(N>0) = {prob:.3g} and Eb/N0_min overflows")
     denom = 1.0 + 2.0 * alpha * r2 - alpha * r2 * r2 + 0.5 * alpha * alpha * r2 * r2
     slope = prob * m2 * m2 / denom
     return WidebandReport(
@@ -312,8 +303,8 @@ def affine_rate_approx(ebn0_db: float, report: WidebandReport) -> float:
 def ebn0_db_from_power(rate_nats: float, power: float) -> float:
     """Eb/N0 (dB) implied by a rate/power operating point: P / R_bits, taken in
     logs since the quotient overflows where R_bits is small and P large."""
-    if rate_nats <= 0:
-        raise ValueError("rate must be positive")
+    check_positive("rate_nats", rate_nats)
+    check_positive("power", power)
     return 10.0 * (math.log10(power) - math.log10(rate_nats / _LOG2))
 
 
@@ -335,7 +326,8 @@ def rate_at_ebn0(
     Steps stop once one moves ln P by at most 1e-12 or the implied Eb/N0 is
     within 1e-12 dB of the target: at most 6 passes from 1e-6 to 100 dB
     above Eb/N0_min, then one :func:`sum_rate` call at the final power.
-    ``quad`` is ignored.
+    Where Pr(N>0) I underflows to 0 on the way (alpha past 700 at small K), an
+    OverflowError names alpha.  ``quad`` is ignored.
     """
     if not math.isfinite(ebn0_db):
         raise ValueError("ebn0_db must be finite")
@@ -351,6 +343,9 @@ def rate_at_ebn0(
         power = math.exp(log_power)
         ErgodicConfig(num_users, power, corr, alpha)
         rate, (_, _, dpower) = _log1p_mean(power, alpha * r, 1.0 - r, derivatives=True)
+        if prob * rate == 0.0:
+            raise OverflowError(f"alpha = {alpha:.6g}: the rate near ebn0_db = {ebn0_db:.6g}"
+                                " underflows to 0")
         miss = ebn0_db_from_power(prob * rate, power) - ebn0_db
         slope = _DB_PER_NEPER * (1.0 - dpower / rate)
         return miss, -miss / slope if slope > 0.0 else math.nan
@@ -372,10 +367,8 @@ def full_csi_rate(num_users: int, power: float) -> float:
     H_K the K-th harmonic number.  The sum runs over blocks of
     ``_USER_BLOCK`` users, so a call costs O(K) time and bounded memory.
     """
-    if num_users < 1:
-        raise ValueError("num_users must be >= 1")
-    if not 0 < power < math.inf:  # NaN fails it too
-        raise ValueError("power must be positive and finite")
+    check_count("num_users", num_users)
+    check_positive("power", power)
 
     def log_mgf(t):
         tp = t * power
@@ -397,6 +390,5 @@ def no_csi_rate(power: float) -> float:
 
     The 1-bit rate integral at alpha = 0, and the full-CSI rate at K = 1.
     """
-    if not 0 < power < math.inf:
-        raise ValueError("power must be positive and finite")
+    check_positive("power", power)
     return _log1p_mean(power, 0.0, 1.0)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CorrelationParams
+from .channel import CorrelationParams, check_count, check_nonnegative, check_positive
 from .outage import PowerMode
 
 __all__ = [
@@ -50,18 +50,14 @@ class SimConfig:
     mode: PowerMode | None = None  # outage / power accounting
 
     def __post_init__(self):
-        if self.num_users < 1:
-            raise ValueError("num_users must be >= 1")
-        if self.n_blocks < 1:
-            raise ValueError("n_blocks must be >= 1")
+        check_count("num_users", self.num_users)
+        check_count("n_blocks", self.n_blocks)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.rate_nats is not None and not (math.isfinite(self.rate_nats) and self.rate_nats > 0):
-            raise ValueError("rate_nats must be positive and finite")
-        if not (math.isfinite(self.threshold) and self.threshold >= 0):
-            raise ValueError("threshold must be nonnegative and finite")
-        if not (math.isfinite(self.power) and self.power > 0):
-            raise ValueError("power must be positive and finite")
+        if self.rate_nats is not None:
+            check_positive("rate_nats", self.rate_nats)
+        check_nonnegative("threshold", self.threshold)
+        check_positive("power", self.power)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .channel import CorrelationParams
+from .channel import CorrelationParams, check_count, check_nonnegative, check_positive
 from .ergodic import prob_some_above
 from .specfun import marcum_q1
 
@@ -97,14 +97,10 @@ class OutageConfig:
     mode: PowerMode
 
     def __post_init__(self):
-        if self.num_users < 1:
-            raise ValueError("num_users must be >= 1")
-        if not (math.isfinite(self.power) and self.power > 0):
-            raise ValueError("power must be positive and finite")
-        if not (math.isfinite(self.rate_nats) and self.rate_nats > 0):
-            raise ValueError("rate_nats must be positive and finite")
-        if not (math.isfinite(self.threshold) and self.threshold >= 0):
-            raise ValueError("threshold must be nonnegative and finite")
+        check_count("num_users", self.num_users)
+        check_positive("power", self.power)
+        check_positive("rate_nats", self.rate_nats)
+        check_nonnegative("threshold", self.threshold)
 
 
 @dataclass(frozen=True)
@@ -124,31 +120,6 @@ def _snr_for(rate_nats: float) -> float:
         raise OverflowError(f"rate_nats = {rate_nats:.6g} is too large for e^R - 1") from None
 
 
-def _check_conditional(rate_nats: float, power_name: str, power: float, alpha: float,
-                       all_zero: bool) -> None:
-    """Reject bad arguments of an eps1/eps0 form by name; NaN fails every test.
-
-    ``all_zero`` marks the feedback-"0" forms, which also need alpha > 0.
-    """
-    if not rate_nats > 0:
-        raise ValueError("rate_nats must be > 0")
-    if not power >= 0:
-        raise ValueError(f"{power_name} must be >= 0")
-    if all_zero and not alpha > 0:
-        raise ValueError(
-            "alpha must be > 0: the all-zero feedback event has probability 0 at alpha = 0"
-        )
-    if not alpha >= 0:
-        raise ValueError("alpha must be >= 0")
-
-
-def _check_positive(**args: float) -> None:
-    """Reject each argument that is not positive and finite, by name; NaN fails the test."""
-    for name, value in args.items():
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite")
-
-
 def _finite_threshold(alpha: float, rate_nats: float, power_name: str, power: float) -> float:
     """A derived zero-outage threshold, or an OverflowError naming what made it overflow."""
     if math.isinf(alpha):
@@ -162,7 +133,8 @@ def zero_outage_threshold(power: float, rate_nats: float) -> float:
 
     alpha = 2 (e^R - 1) / P, i.e. R = log(1 + (P/2) alpha) exactly.
     """
-    _check_positive(power=power, rate_nats=rate_nats)
+    check_positive("power", power)
+    check_positive("rate_nats", rate_nats)
     return _finite_threshold(2.0 * _snr_for(rate_nats) / power, rate_nats, "power", power)
 
 
@@ -171,9 +143,9 @@ def power_split_longterm(power: float, alpha: float, num_users: int) -> tuple[fl
 
     The implied average Pr(N>0) P1 + Pr(N=0) P0 never exceeds the budget P.
     """
-    _check_positive(power=power, num_users=num_users)
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0: P0 is unbounded at alpha = 0 (Pr(N=0) = 0)")
+    check_positive("power", power)
+    check_positive("alpha", alpha)  # P0 is unbounded at alpha = 0, where Pr(N=0) = 0
+    check_count("num_users", num_users)
     pr_none = (-math.expm1(-alpha)) ** num_users
     p0 = 0.5 * power / pr_none if pr_none > 0.0 else math.inf
     if not math.isfinite(p0):
@@ -186,7 +158,9 @@ def outage_longterm_closed(power: float, num_users: int, rate_nats: float) -> fl
 
     eps = (1 - e^{-2c/P})^{K-1} (1 - e^{-2c (1 - e^{-2c/P})^K / P}), c = e^R - 1.
     """
-    _check_positive(power=power, num_users=num_users, rate_nats=rate_nats)
+    check_positive("power", power)
+    check_count("num_users", num_users)
+    check_positive("rate_nats", rate_nats)
     c = _snr_for(rate_nats)
     base = -math.expm1(-2.0 * c / power)
     return base ** (num_users - 1) * -math.expm1(-2.0 * c * base ** num_users / power)
@@ -216,7 +190,9 @@ def eps1_outdated(rate_nats: float, p1: float, alpha: float, corr: CorrelationPa
     alpha)) and 1 - e^{alpha - (e^R - 1)/P1} otherwise; at rho = 0 it is the
     unconditional exponential outage.
     """
-    _check_conditional(rate_nats, "p1", p1, alpha, all_zero=False)
+    check_positive("rate_nats", rate_nats)
+    check_nonnegative("p1", p1)
+    check_nonnegative("alpha", alpha)
     if p1 == 0.0:
         return 1.0
     if corr.is_instantaneous:
@@ -240,7 +216,9 @@ def eps0_outdated(rate_nats: float, p0: float, alpha: float, corr: CorrelationPa
     At |rho| = 1 it is (1 - e^{-(e^R - 1)/P0}) / (1 - e^{-alpha}) where
     R <= log(1 + P0 alpha), and 1 above.
     """
-    _check_conditional(rate_nats, "p0", p0, alpha, all_zero=True)
+    check_positive("rate_nats", rate_nats)
+    check_nonnegative("p0", p0)
+    check_positive("alpha", alpha)  # the all-zero feedback event has probability 0 at alpha = 0
     if p0 == 0.0:
         return 1.0
     if corr.is_instantaneous:
@@ -278,8 +256,7 @@ def outage_instant(cfg: OutageConfig) -> OutageReport:
 
 def dmt_analytic(scheme: str, num_users: int) -> list[tuple[float, float]]:
     """The DMT curve d(r) = d0 * (1 - r) as (r, d) pairs at r = 0, 0.1, ..., 1."""
-    if num_users < 1:
-        raise ValueError("num_users must be >= 1")
+    check_count("num_users", num_users)
     if scheme not in _DMT_INTERCEPTS:
         raise ValueError(f"unknown DMT scheme {scheme!r}")
     per_user, fixed = _DMT_INTERCEPTS[scheme]
@@ -314,8 +291,8 @@ def default_threshold(mode: PowerMode, power: float, rate_nats: float) -> float:
     """
     if mode.kind == "long_term_two_level":
         return zero_outage_threshold(power, rate_nats)
+    check_positive("power", power)
+    check_positive("rate_nats", rate_nats)
     p1 = power if mode.kind == "short_term" else float(mode.p1)
-    if not p1 > 0:
-        raise ValueError("p1 must be > 0 to derive a zero-outage threshold")
-    _check_positive(rate_nats=rate_nats)
+    check_positive("p1", p1)
     return _finite_threshold(_snr_for(rate_nats) / p1, rate_nats, "p1", p1)

@@ -309,7 +309,11 @@ class TestRejectedInputs:
         # A subnormal power: each term of the rate integral carries the
         # 5e-324 resolution of subnormals.
         ("--k", "1", "--snr-db", "-3200", "--rho", "0", "--alpha", "0"),
-    ], ids=["1e6", "709", "rho0.999", "prob-underflow", "near-rho-one", "subnormal-power"])
+        # The rate bracket's Marcum-Q arguments are about 2.2e154, where their
+        # squares overflow; Pr(N>0) underflows and every rate is 0.
+        ("--k", "1", "--rho", "0.999999998", "--alpha", "1e300"),
+    ], ids=["1e6", "709", "rho0.999", "prob-underflow", "near-rho-one", "subnormal-power",
+            "marcum-overflow"])
     def test_rate_within_its_bounds(self, capsys, argv):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -390,6 +394,8 @@ class TestRejectedInputs:
             (("ergodic", "--alpha", "suboptimal:0"), 2, "delta"),
             (("ergodic", "--alpha", "suboptimal:nan"), 2, "delta"),
             (("ergodic", "--alpha", "suboptimal:inf"), 2, "delta"),
+            # Pr(N>0) is subnormal and Eb/N0_min overflows.
+            (("wideband", "--k", "1", "--rho", "0.5", "--alpha", "720"), 3, "alpha"),
         ],
     )
     def test_messages_name_the_argument(self, capsys, argv, code, name):
@@ -473,7 +479,8 @@ _FUZZ_VALUES = {
     "rho": ["-1", "-0.5", "0", "0.5", "0.9", "0.999999998", "1", "1.5"],
     "doppler-hz": ["0", "50", "1e300", "-1"],
     "delay-s": ["0", "0.001", "1e300", "inf"],
-    "alpha": ["optimal", "suboptimal:1", "suboptimal:1e300", "0", "1", "705", "1e300", "-1"],
+    "alpha": ["optimal", "suboptimal:1", "suboptimal:1e300", "0", "1", "705", "720", "1e300",
+              "-1"],
     "rate-bits": ["1e-300", "1", "3", "1e6", "0"],
     "rate-nats": ["1e-300", "1", "1e6", "nan"],
     "power-mode": ["long-term", "short-term", "explicit:10,40", "explicit:0,0",
@@ -488,7 +495,7 @@ _SWEEP_ENDS = ["-1", "0", "1e-300", "1", "20", "1e300", "inf"]
 _SWEEP_NAMES = ["k", "snr-db", "rho", "rate-nats", "x"]
 # What an error message may name: a flag, or the field it sets.
 _NAMES = [f"--{f}" for f in cli._FLAGS] + [
-    "num_users", "power", "rho", "alpha", "threshold", "rate_nats", "P0", "n_blocks", "seed",
+    "num_users", "power", "rho", "alpha", "threshold", "rate_nats", "P0", "p1", "n_blocks", "seed",
     "delta", "doppler_hz", "delay_s", "k=", "snr_db",
 ]
 
@@ -531,7 +538,8 @@ def _argv(draw):
 @settings(max_examples=150)
 @given(_argv())
 def test_cli_fuzz(argv):
-    """Exit 0, 2 or 3, warnings as errors; no NaN printed; every error names its argument."""
+    """Exit 0, 2 or 3, warnings as errors; no NaN or infinity printed; every error names
+    its argument."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
@@ -543,6 +551,7 @@ def test_cli_fuzz(argv):
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 2, 3), err
     if code == 0:
-        assert "nan" not in re.split(r"[^a-z0-9.+-]+", out.lower())
+        words = re.split(r"[^a-z0-9.+-]+", out.lower())
+        assert not {"nan", "inf", "-inf"} & set(words), out
     else:
         assert any(name in err for name in _NAMES), err

@@ -1,14 +1,16 @@
-"""Property tests: Marcum-Q identities, outage probabilities in range and
-the sum-rate between its bounds."""
+"""Property tests: Marcum-Q identities, outage probabilities in range, the
+sum-rate between its bounds, and every library input checked by name."""
 
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import special
 
+from onebitfb import ergodic, mcsim, outage
 from onebitfb.channel import CorrelationParams
 from onebitfb.ergodic import ErgodicConfig, sum_rate, sum_rate_lower, sum_rate_upper
 from onebitfb.outage import OutageConfig, PowerMode, outage_outdated
@@ -128,3 +130,63 @@ def test_sum_rate_within_bounds(cfg):
         lower, upper = sum_rate_lower(cfg), sum_rate_upper(cfg)
     assert math.isfinite(rate)
     assert lower * (1.0 - 1e-13) <= rate <= upper * (1.0 + 1e-13), (cfg, lower, rate, upper)
+
+
+# The values each input rule rejects: K is an integer >= 1, P, R and a
+# long-term or all-zero alpha are finite and > 0, alpha, P1 and P0 finite and >= 0.
+BAD = {
+    "count": [math.nan, math.inf, -math.inf, -1, 0, 4.5],
+    "positive": [math.nan, math.inf, -math.inf, -1.0, 0.0],
+    "nonnegative": [math.nan, math.inf, -math.inf, -1.0],
+}
+CORR = CorrelationParams(0.5)
+# (callable, valid arguments, the rule of each argument it checks)
+INPUTS = [
+    (ErgodicConfig, dict(num_users=4, power=10.0, corr=CORR, threshold=1.0),
+     dict(num_users="count", power="positive", threshold="nonnegative")),
+    (ergodic.prob_some_above, dict(alpha=1.0, num_users=4),
+     dict(alpha="nonnegative", num_users="count")),
+    (ergodic.rate_bracket, dict(alpha=1.0, corr=CORR), dict(alpha="nonnegative")),
+    (ergodic.suboptimal_threshold, dict(num_users=100, delta=1.0), dict(num_users="count")),
+    (ergodic.optimal_threshold, dict(num_users=4, power=10.0, corr=CORR),
+     dict(num_users="count", power="positive")),
+    (ergodic.wideband_metrics, dict(alpha=1.0, num_users=4, corr=CORR),
+     dict(alpha="nonnegative", num_users="count")),
+    (ergodic.ebn0_db_from_power, dict(rate_nats=1.0, power=10.0),
+     dict(rate_nats="positive", power="positive")),
+    (ergodic.rate_at_ebn0, dict(ebn0_db=3.0, num_users=4, corr=CORR, alpha=1.0),
+     dict(num_users="count", alpha="nonnegative")),
+    (ergodic.full_csi_rate, dict(num_users=4, power=10.0),
+     dict(num_users="count", power="positive")),
+    (ergodic.no_csi_rate, dict(power=10.0), dict(power="positive")),
+    (OutageConfig, dict(num_users=4, power=10.0, corr=CORR, rate_nats=1.0, threshold=1.0,
+                        mode=PowerMode.short_term()),
+     dict(num_users="count", power="positive", rate_nats="positive", threshold="nonnegative")),
+    (outage.zero_outage_threshold, dict(power=10.0, rate_nats=1.0),
+     dict(power="positive", rate_nats="positive")),
+    (outage.power_split_longterm, dict(power=10.0, alpha=1.0, num_users=4),
+     dict(power="positive", alpha="positive", num_users="count")),
+    (outage.outage_longterm_closed, dict(power=10.0, num_users=4, rate_nats=1.0),
+     dict(power="positive", num_users="count", rate_nats="positive")),
+    (outage.eps1_outdated, dict(rate_nats=1.0, p1=10.0, alpha=1.0, corr=CORR),
+     dict(rate_nats="positive", p1="nonnegative", alpha="nonnegative")),
+    (outage.eps0_outdated, dict(rate_nats=1.0, p0=10.0, alpha=1.0, corr=CORR),
+     dict(rate_nats="positive", p0="nonnegative", alpha="positive")),
+    (outage.dmt_analytic, dict(scheme="no_csi", num_users=4), dict(num_users="count")),
+    (outage.default_threshold, dict(mode=PowerMode.short_term(), power=10.0, rate_nats=1.0),
+     dict(power="positive", rate_nats="positive")),
+    (mcsim.SimConfig, dict(num_users=4, power=10.0, corr=CORR, threshold=1.0, n_blocks=10, seed=1,
+                           rate_nats=1.0),
+     dict(num_users="count", power="positive", threshold="nonnegative", n_blocks="count",
+          rate_nats="positive")),
+]
+
+
+@pytest.mark.parametrize("form,args,name,bad", [
+    pytest.param(form, args, name, bad, id=f"{form.__name__}-{name}-{bad}")
+    for form, args, rules in INPUTS for name, rule in rules.items() for bad in BAD[rule]
+])
+def test_bad_input_is_rejected_by_name(form, args, name, bad):
+    form(**args)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        form(**{**args, name: bad})

@@ -115,6 +115,13 @@ class TestMarcumQ1:
         assert marcum_q1(0.5, 1e44) == 0.0
         assert marcum_q1(5e5, 5e5) == pytest.approx(0.5 * (1.0 + special.i0e(2.5e11)), abs=1e-14)
 
+    @pytest.mark.parametrize("a,b,want", [(2e154, 2.2e154, 0.0), (2.2e154, 2e154, 1.0),
+                                          (2e154, 2e154, 0.5)])
+    def test_overflowing_squares_warn_nothing(self, a, b, want):
+        # a^2, b^2 and a b overflow past 1.3e154; the |a - b| > 40 bound and the
+        # ridge form decide Q1 there, and warnings are errors in this suite.
+        assert marcum_q1(a, b) == want
+
     @pytest.mark.parametrize("a,b,want", MARCUM_RIDGE_GOLDENS)
     def test_ridge_past_chndtr(self, a, b, want):
         # Where chndtr is NaN the normal-plus-ridge form runs, off by at most
