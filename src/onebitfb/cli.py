@@ -438,9 +438,10 @@ def _figure2(args):
 _FIGURE_GRID_DB = [2.0 * i for i in range(21)]
 
 
-def _outage_series(args, figure_id, series, k, rho, rate, mode):
-    """Outage vs SNR on a 0..40 dB grid, from the outage command's rows."""
-    opts = argparse.Namespace(power_mode=mode, alpha=None)
+def _outage_series(args, figure_id, series, k, rho, rate, mode, alpha=None):
+    """Outage vs SNR on a 0..40 dB grid, from the outage command's rows; the
+    threshold is ``alpha``, or the zero-outage threshold where it is None."""
+    opts = argparse.Namespace(power_mode=mode, alpha=None if alpha is None else (str(alpha), alpha))
     base = {"k": k, "snr_db": 0.0, "rho": rho, "rate_nats": rate}
     rows = _sweep_rows(opts, _outage_rows, base, ("snr_db", _FIGURE_GRID_DB))
     _emit_series(args, figure_id, series, ["snr_db", "eps"], rows)
@@ -460,11 +461,8 @@ def _figure4(args):
     rate = args.rate_bits * _LOG2
     for rho in (0.0, 0.5, 0.9, 1.0):
         _outage_series(args, "fig4", f"rho{rho}", args.k, rho, rate, outage.PowerMode.long_term())
-    # SISO no-feedback reference at full power: outage with rho = 0 and alpha = 0
-    no_fb = channel.CorrelationParams(0.0)
-    rows = [{"snr_db": db, "eps": outage.eps1_outdated(rate, 10.0 ** (db / 10.0), 0.0, no_fb)}
-            for db in _FIGURE_GRID_DB]
-    _emit_series(args, "fig4", "no_csi", ["snr_db", "eps"], rows)
+    # SISO no-feedback reference at full power: one user, rho = 0 and alpha = 0
+    _outage_series(args, "fig4", "no_csi", 1, 0.0, rate, outage.PowerMode.short_term(), alpha=0.0)
 
 
 def _figure5(args):

@@ -274,6 +274,7 @@ def wideband_metrics(alpha: float, num_users: int, corr: CorrelationParams) -> W
     with r2 = rho^2 and a = alpha.
     """
     prob = prob_some_above(alpha, num_users)  # checks alpha and num_users
+    alpha = float(alpha)  # a numpy scalar would warn where log 2 / (prob m2) overflows
     r2 = corr.rho ** 2
     m2 = 1.0 + r2 * alpha
     ebn0_min = _LOG2 / (prob * m2) if prob > 0.0 else math.inf
@@ -326,8 +327,9 @@ def rate_at_ebn0(
     Steps stop once one moves ln P by at most 1e-12 or the implied Eb/N0 is
     within 1e-12 dB of the target: at most 6 passes from 1e-6 to 100 dB
     above Eb/N0_min, then one :func:`sum_rate` call at the final power.
-    Where Pr(N>0) I underflows to 0 on the way (alpha past 700 at small K), an
-    OverflowError names alpha.  ``quad`` is ignored.
+    Steps past the largest P with P (1 + alpha) finite bisect; a target above
+    the Eb/N0 there, or where Pr(N>0) I underflows to 0 (alpha past 700 at
+    small K), is an OverflowError naming ebn0_db or alpha.  ``quad`` is ignored.
     """
     if not math.isfinite(ebn0_db):
         raise ValueError("ebn0_db must be finite")
@@ -338,8 +340,6 @@ def rate_at_ebn0(
     prob = prob_some_above(alpha, num_users)
 
     def newton_step(log_power: float) -> tuple[float, float]:
-        if log_power > _LOG_FLOAT_MAX:
-            raise OverflowError(f"ebn0_db = {ebn0_db:.6g}: the power it needs overflows")
         power = math.exp(log_power)
         ErgodicConfig(num_users, power, corr, alpha)
         rate, (_, _, dpower) = _log1p_mean(power, alpha * r, 1.0 - r, derivatives=True)
@@ -351,9 +351,13 @@ def rate_at_ebn0(
         return miss, -miss / slope if slope > 0.0 else math.nan
 
     start = (ebn0_db - wb.ebn0_min_db) / _DB_PER_NEPER * wb.ebn0_min_linear * wb.slope_s0 / _LOG2
-    power = math.exp(_newton(newton_step, math.log(start), -math.inf, math.inf, "rate_at_ebn0",
-                             f_tol=1e-12))
-    return sum_rate(ErgodicConfig(num_users, power, corr, alpha)), power
+    log_cap = _LOG_FLOAT_MAX - math.log1p(alpha) - 1e-12  # a margin for exp's roundoff
+    power = math.exp(_newton(newton_step, min(math.log(start), log_cap), -math.inf, log_cap,
+                             "rate_at_ebn0", f_tol=1e-12))
+    rate = sum_rate(ErgodicConfig(num_users, power, corr, alpha))
+    if ebn0_db_from_power(rate, power) < ebn0_db - 1e-9:
+        raise OverflowError(f"ebn0_db = {ebn0_db:.6g}: the power it needs overflows")
+    return rate, power
 
 
 def full_csi_rate(num_users: int, power: float) -> float:

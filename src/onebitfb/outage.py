@@ -80,11 +80,12 @@ class PowerMode:
 
     def resolve(self, power: float, alpha: float, num_users: int) -> tuple[float, float]:
         """Concrete (P1, P0) for a long-term budget ``power`` and threshold."""
-        if self.kind == "short_term":
-            return power, power
-        if self.kind == "explicit":
-            return float(self.p1), float(self.p0)
-        return power_split_longterm(power, alpha, num_users)
+        if self.kind == "long_term_two_level":
+            return power_split_longterm(power, alpha, num_users)
+        check_positive("power", power)
+        check_nonnegative("alpha", alpha)
+        check_count("num_users", num_users)
+        return (power, power) if self.kind == "short_term" else (float(self.p1), float(self.p0))
 
 
 @dataclass(frozen=True)
@@ -120,22 +121,12 @@ def _snr_for(rate_nats: float) -> float:
         raise OverflowError(f"rate_nats = {rate_nats:.6g} is too large for e^R - 1") from None
 
 
-def _finite_threshold(alpha: float, rate_nats: float, power_name: str, power: float) -> float:
-    """A derived zero-outage threshold, or an OverflowError naming what made it overflow."""
-    if math.isinf(alpha):
-        raise OverflowError(f"the zero-outage threshold overflows at rate_nats = {rate_nats:.6g},"
-                            f" {power_name} = {power:.6g}")
-    return alpha
-
-
 def zero_outage_threshold(power: float, rate_nats: float) -> float:
     """Threshold making feedback-"1" blocks outage-free under P1 = P/2.
 
     alpha = 2 (e^R - 1) / P, i.e. R = log(1 + (P/2) alpha) exactly.
     """
-    check_positive("power", power)
-    check_positive("rate_nats", rate_nats)
-    return _finite_threshold(2.0 * _snr_for(rate_nats) / power, rate_nats, "power", power)
+    return default_threshold(PowerMode.long_term(), power, rate_nats)
 
 
 def power_split_longterm(power: float, alpha: float, num_users: int) -> tuple[float, float]:
@@ -237,15 +228,16 @@ def eps0_outdated(rate_nats: float, p0: float, alpha: float, corr: CorrelationPa
 
 
 def outage_outdated(cfg: OutageConfig) -> OutageReport:
-    """Total outage eps1 Pr(N>0) + eps0 (1 - Pr(N>0)) at the resolved powers.
+    """Total outage eps1 Pr(N>0) + eps0 Pr(N=0) at the resolved powers, capped at 1.
 
-    At alpha = 0, Pr(N = 0) = 0 and eps0 never enters the mixture.
+    Pr(N=0) = (1 - e^{-alpha})^K is formed directly (1 - Pr(N>0) keeps only
+    absolute precision); at alpha = 0 it is 0 and eps0 never enters.
     """
     p1, p0 = cfg.mode.resolve(cfg.power, cfg.threshold, cfg.num_users)
     e1 = eps1_outdated(cfg.rate_nats, p1, cfg.threshold, cfg.corr)
     e0 = eps0_outdated(cfg.rate_nats, p0, cfg.threshold, cfg.corr) if cfg.threshold > 0 else 0.0
-    prob = prob_some_above(cfg.threshold, cfg.num_users)
-    eps = e1 * prob + e0 * (1.0 - prob)
+    pr_none = math.pow(-math.expm1(-cfg.threshold), cfg.num_users)  # a float for a numpy K too
+    eps = min(e1 * prob_some_above(cfg.threshold, cfg.num_users) + e0 * pr_none, 1.0)
     return OutageReport(eps=eps, eps1=e1, eps0=e0, p1=p1, p0=p0)
 
 
@@ -289,10 +281,13 @@ def default_threshold(mode: PowerMode, power: float, rate_nats: float) -> float:
     Long-term two-level transmits P/2 on "1" blocks, so alpha = 2(e^R-1)/P;
     short-term (and explicit) transmit P1 on "1" blocks, alpha = (e^R-1)/P1.
     """
-    if mode.kind == "long_term_two_level":
-        return zero_outage_threshold(power, rate_nats)
     check_positive("power", power)
     check_positive("rate_nats", rate_nats)
-    p1 = power if mode.kind == "short_term" else float(mode.p1)
+    long_term = mode.kind == "long_term_two_level"
+    p1 = float(mode.p1) if mode.kind == "explicit" else power
     check_positive("p1", p1)
-    return _finite_threshold(_snr_for(rate_nats) / p1, rate_nats, "p1", p1)
+    alpha = 2.0 * _snr_for(rate_nats) / power if long_term else _snr_for(rate_nats) / p1
+    if math.isinf(alpha):
+        raise OverflowError(f"the zero-outage threshold overflows at rate_nats = {rate_nats:.6g},"
+                            f" {'power' if long_term else 'p1'} = {p1:.6g}")
+    return alpha

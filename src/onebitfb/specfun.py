@@ -39,12 +39,6 @@ class QuadratureSpec:
     max_subdivisions: int = 500
     tail_cutoff_tol: float = 1e-12
 
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.tail_cutoff_tol > 0):
-            raise ValueError("all tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
 
 def marcum_q1(a, b):
     """First-order Marcum-Q function Q1(a, b), vectorized.

@@ -361,6 +361,18 @@ class TestWideband:
         assert rate == pytest.approx(no_csi_rate(power), rel=1e-14)
         assert ebn0_db_from_power(rate, power) == pytest.approx(-1.5, abs=1e-9)
 
+    @pytest.mark.parametrize("k,rho,alpha", [(1, 0.0, 0.0), (100, 0.9, 3.0), (4, 0.5, 1.0)])
+    def test_inversion_reaches_the_largest_power(self, k, rho, alpha):
+        # The largest float power implies about 3,052 dB; the first Newton
+        # step from the wideband start overshoots ln P = 709.78 on the way.
+        c = CorrelationParams(rho)
+        for target in (2700.0, 3000.0, 3040.0):
+            rate, power = rate_at_ebn0(target, k, c, alpha)
+            assert abs(ebn0_db_from_power(rate, power) - target) <= 1e-9
+        for target in (3100.0, 1e6):
+            with pytest.raises(OverflowError, match="ebn0_db"):
+                rate_at_ebn0(target, k, c, alpha)
+
     def test_inversion_rejects_nan_target(self):
         with pytest.raises(ValueError, match="ebn0_db"):
             rate_at_ebn0(math.nan, 4, CorrelationParams(0.9), 0.8)
@@ -369,7 +381,7 @@ class TestWideband:
         with pytest.raises(OverflowError, match="alpha"):
             wideband_metrics(1e300, 16, CorrelationParams(0.5))
         # Pr(N>0) is subnormal but not 0, and log 2 / (Pr(N>0) (1 + rho^2 alpha)) overflows.
-        for alpha in (720.0, 744.0):
+        for alpha in (720.0, 744.0, np.float64(720.0)):
             with pytest.raises(OverflowError, match="alpha"):
                 wideband_metrics(alpha, 1, CorrelationParams(0.5))
 

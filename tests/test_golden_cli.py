@@ -6,9 +6,10 @@ under tests/golden/<id>/.  The expected files were produced by this same
 harness; regenerate them only for an intended output change, with
 
     PYTHONPATH=src python3 tests/test_golden_cli.py
+
+which prints each golden file it added, removed or changed.
 """
 
-import sys
 from pathlib import Path
 
 import pytest
@@ -78,7 +79,12 @@ def test_output_is_byte_identical(case, tmp_path):
 if __name__ == "__main__":
     for case, text in COMMANDS.items():
         target = GOLDEN / case
+        before = {p.name: p.read_bytes() for p in target.glob("*")}
         for old in target.glob("*"):
             old.unlink()
-        files = _run(text.split(), target)
-        print(f"{case}: {len(files)} file(s)", file=sys.stderr)
+        after = _run(text.split(), target)
+        for name in sorted(before.keys() | after.keys()):
+            if name not in after:
+                print(f"{case}/{name}: removed")
+            elif before.get(name) != after[name]:
+                print(f"{case}/{name}: {'changed' if name in before else 'new'}")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -127,6 +128,27 @@ class TestLongTermPipeline:
         rep = outage_instant(cfg)
         assert rep.eps1 == 0.0
         assert rep.eps == pytest.approx(outage_longterm_closed(100.0, 1, 2.0), abs=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 2, 8, 16])
+    @pytest.mark.parametrize("bits", [2, 3])
+    def test_instant_outage_keeps_relative_precision(self, k, bits):
+        # At rho = 1 and the zero-outage threshold eps1 = 0, so the outage is
+        # eps0 Pr(N=0) alone, down to 1e-104 at 40 dB: under long-term power
+        # the closed form with a = 2c/P, under short-term (1 - e^-a)^K, a = c/P.
+        rate = bits * LOG2
+        with mpmath.workdps(40):
+            c = mpmath.expm1(rate)
+            for db in range(0, 41, 2):
+                power = 10.0 ** (db / 10.0)
+                base = -mpmath.expm1(-2 * c / power)
+                want = {"long": base ** (k - 1) * -mpmath.expm1(-2 * c * base ** k / power),
+                        "short": (-mpmath.expm1(-c / power)) ** k}
+                for name, expected in want.items():
+                    mode = _mode(name)
+                    alpha = default_threshold(mode, power, rate)
+                    cfg = OutageConfig(k, power, CorrelationParams(1.0), rate, alpha, mode)
+                    got = outage_outdated(cfg).eps
+                    assert abs(got / expected - 1) <= 1e-13, (name, db, got, expected)
 
     def test_default_threshold(self):
         r, p = 2.0, 100.0

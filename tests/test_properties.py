@@ -175,6 +175,10 @@ INPUTS = [
     (outage.dmt_analytic, dict(scheme="no_csi", num_users=4), dict(num_users="count")),
     (outage.default_threshold, dict(mode=PowerMode.short_term(), power=10.0, rate_nats=1.0),
      dict(power="positive", rate_nats="positive")),
+    (PowerMode.short_term().resolve, dict(power=10.0, alpha=1.0, num_users=4),
+     dict(power="positive", alpha="nonnegative", num_users="count")),
+    (PowerMode.explicit(1.0, 2.0).resolve, dict(power=10.0, alpha=1.0, num_users=4),
+     dict(power="positive", alpha="nonnegative", num_users="count")),
     (mcsim.SimConfig, dict(num_users=4, power=10.0, corr=CORR, threshold=1.0, n_blocks=10, seed=1,
                            rate_nats=1.0),
      dict(num_users="count", power="positive", threshold="nonnegative", n_blocks="count",

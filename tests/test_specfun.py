@@ -6,7 +6,6 @@ import pytest
 from scipy import special
 
 from onebitfb.specfun import (
-    QuadratureSpec,
     integrate_semi_infinite,
     marcum_q1,
     marcum_q1_asymptotic,
@@ -176,9 +175,3 @@ class TestQuadrature:
             want = np.array([float(mpmath.exp(1 / c) * mpmath.e1(1 / c))
                              for c in map(mpmath.mpf, cs)])
         assert np.max(np.abs(got / want - 1.0)) <= 4.5e-16
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
