@@ -144,10 +144,11 @@ def sum_rate_upper(cfg: ErgodicConfig) -> float:
 def rate_bracket(alpha: float, corr: CorrelationParams, asymptotic: bool = False) -> float:
     """The Marcum-Q brace shared by the lower rate bound and r_low.
 
-    1 + Q1(|rho| s, s) - Q1(s, |rho| s) with s = sqrt(2 alpha)/sqrt(1-rho^2).
-    With ``asymptotic=True`` both Q1 terms are replaced by their
-    large-argument Gaussian-prefactor approximation (the form under which
-    the brace tends to 1 as alpha grows).
+    1 + Q1(|rho| s, s) - Q1(s, |rho| s) with s = sqrt(2 alpha)/sqrt(1-rho^2),
+    the probability Pr(v_tau^2 >= alpha | v^2 >= alpha), capped at 1 (roundoff
+    passes it by 1 ulp as alpha -> 0).  With ``asymptotic=True`` both Q1 terms
+    are replaced by their large-argument Gaussian-prefactor approximation (the
+    form under which the brace tends to 1 as alpha grows), uncapped.
     """
     check_nonnegative("alpha", alpha)
     if corr.is_instantaneous:
@@ -158,12 +159,8 @@ def rate_bracket(alpha: float, corr: CorrelationParams, asymptotic: bool = False
         return math.exp(-alpha / (1.0 - r * r))
     s = math.sqrt(2.0 * alpha) / math.sqrt(1.0 - r * r)
     if asymptotic:
-        q_rs = marcum_q1_asymptotic(r * s, s)
-        q_sr = marcum_q1_asymptotic(s, r * s)
-    else:
-        q_rs = marcum_q1(r * s, s)
-        q_sr = marcum_q1(s, r * s)
-    return 1.0 + q_rs - q_sr
+        return 1.0 + marcum_q1_asymptotic(r * s, s) - marcum_q1_asymptotic(s, r * s)
+    return min(1.0 + marcum_q1(r * s, s) - marcum_q1(s, r * s), 1.0)
 
 
 def sum_rate_lower(cfg: ErgodicConfig) -> float:

@@ -137,7 +137,7 @@ def power_split_longterm(power: float, alpha: float, num_users: int) -> tuple[fl
     check_positive("power", power)
     check_positive("alpha", alpha)  # P0 is unbounded at alpha = 0, where Pr(N=0) = 0
     check_count("num_users", num_users)
-    pr_none = (-math.expm1(-alpha)) ** num_users
+    pr_none = math.pow(-math.expm1(-alpha), num_users)  # a float for a numpy K too
     p0 = 0.5 * power / pr_none if pr_none > 0.0 else math.inf
     if not math.isfinite(p0):
         raise OverflowError(f"P0 overflows: (1-e^-alpha)^K = {pr_none:.3g} at K={num_users}")
@@ -158,8 +158,8 @@ def outage_longterm_closed(power: float, num_users: int, rate_nats: float) -> fl
 
 
 def _marcum_pair(rate_nats: float, c: float, power: float, alpha: float, corr: CorrelationParams):
-    """(Q1(a, |rho| sb), Q1(|rho| a, sb)), a = sqrt(mu/P), sb = sqrt(nu), from one marcum_q1 call;
-    an argument that overflows is an OverflowError naming rate_nats or alpha."""
+    """(Q1(a, |rho| sb), Q1(|rho| a, sb)), a = sqrt(mu/P), sb = sqrt(nu); an argument
+    that overflows is an OverflowError naming rate_nats or alpha."""
     omr2 = 1.0 - corr.rho ** 2
     a = math.sqrt(2.0 * c / omr2 / power)
     sb = math.sqrt(2.0 * alpha / omr2)
@@ -167,8 +167,7 @@ def _marcum_pair(rate_nats: float, c: float, power: float, alpha: float, corr: C
         if math.isinf(arg):
             raise OverflowError(f"{name} = {value:.6g} overflows a Marcum-Q argument")
     r = corr.abs_rho
-    q_a, q = marcum_q1((a, r * a), (r * sb, sb))
-    return float(q_a), float(q)
+    return marcum_q1(a, r * sb), marcum_q1(r * a, sb)
 
 
 def eps1_outdated(rate_nats: float, p1: float, alpha: float, corr: CorrelationParams) -> float:
@@ -189,7 +188,7 @@ def eps1_outdated(rate_nats: float, p1: float, alpha: float, corr: CorrelationPa
     if corr.is_instantaneous:
         if rate_nats <= math.log1p(p1 * alpha):
             return 0.0
-        return -math.expm1(alpha - _snr_for(rate_nats) / p1)
+        return max(0.0, -math.expm1(alpha - _snr_for(rate_nats) / p1))  # not -0.0 at c/P1 = alpha
     if corr.rho == 0.0:
         return -math.expm1(-_snr_for(rate_nats) / p1)
     c = _snr_for(rate_nats)
@@ -290,4 +289,7 @@ def default_threshold(mode: PowerMode, power: float, rate_nats: float) -> float:
     if math.isinf(alpha):
         raise OverflowError(f"the zero-outage threshold overflows at rate_nats = {rate_nats:.6g},"
                             f" {'power' if long_term else 'p1'} = {p1:.6g}")
+    if long_term and alpha == 0.0:  # the two-level split needs alpha > 0
+        raise ArithmeticError(f"the zero-outage threshold 2(e^R - 1)/P underflows to 0 at"
+                              f" rate_nats = {rate_nats:.6g}, power = {power:.6g}")
     return alpha

@@ -5,7 +5,9 @@ chi-square CDF), its large-argument approximation and exponential bounds,
 and E[log(1 + X)] from the moment generating function of X by one fixed
 trapezoid rule, the integral behind every ergodic rate.
 
-All functions are pure and accept scalars or numpy arrays where noted.
+All functions are pure.  ``marcum_q1`` and ``marcum_q1_bounds`` take
+scalars or numpy arrays; ``marcum_q1_asymptotic`` takes scalars, and
+``integrate_semi_infinite`` passes its nodes to ``log_mgf`` as one array.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class QuadratureSpec:
 
 
 def marcum_q1(a, b):
-    """First-order Marcum-Q function Q1(a, b), vectorized.
+    """First-order Marcum-Q function Q1(a, b): scalar core; arrays elementwise through it.
 
     Q1(a,b) = int_b^inf x exp(-(x^2+a^2)/2) I0(a x) dx is the upper tail at
     b^2 of a noncentral chi-square with 2 degrees of freedom and
@@ -68,50 +70,46 @@ def marcum_q1(a, b):
     identity exactly, is exact at a = b and is within 0.034/(ab) absolute
     of a 40-digit quadrature of the defining integral: under 1e-12 wherever
     it is used.
+
+    Scalars give a float; arrays broadcast, each element a scalar call.
     """
-    # Ufunc broadcasting and array .all()/.any(): np.broadcast_arrays, np.all
-    # and np.any cost about 5, 4 and 4 us a call.
-    a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if not (np.isfinite(a_arr).all() and np.isfinite(b_arr).all()):
+    if not (np.isscalar(a) and np.isscalar(b)):
+        return _marcum_q1_elementwise(a, b)
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("marcum_q1 requires finite arguments")
-    if (a_arr < 0).any() or (b_arr < 0).any():
+    if a < 0.0 or b < 0.0:
         raise ValueError("marcum_q1 requires nonnegative arguments")
-    # Both branches need chndtr(min^2, 2, max^2): one call per element.
-    lo, hi = np.minimum(a_arr, b_arr), np.maximum(a_arr, b_arr)
-    below = b_arr < a_arr
-    # Squares and a b overflow past about 1.3e154; the |a - b| > 40 bound or
-    # the ridge form decides every element where they do.
-    with np.errstate(over="ignore"):
-        tail = sc.chndtr(lo * lo, 2.0, hi * hi)
-        out = np.where(below, 1.0 - tail,
-                       np.exp(-0.5 * (a_arr - b_arr) ** 2) * sc.i0e(a_arr * b_arr) + tail)
-        out = np.where(np.abs(a_arr - b_arr) > 40.0, below.astype(float), out)
-        ridge = np.isnan(out)
-        if ridge.any():
-            d = a_arr - b_arr
-            out = np.where(ridge, sc.ndtr(d) + 0.5 * np.exp(-0.5 * d * d) * sc.i0e(a_arr * b_arr),
-                           out)
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    d = a - b
+    if abs(d) > 40.0:
+        return float(b < a)
+    # Squares and a b overflow past about 1.3e154; chndtr is then NaN and the
+    # ridge form decides.  Both branches need chndtr(min^2, 2, max^2).  np.exp
+    # keeps the bits of numpy's array exp, which math.exp misses on some pairs.
+    lo, hi = min(a, b), max(a, b)
+    tail = sc.chndtr(lo * lo, 2.0, hi * hi)
+    out = 1.0 - tail if b < a else np.exp(-0.5 * (d * d)) * sc.i0e(a * b) + tail
+    if math.isnan(out):
+        out = sc.ndtr(d) + 0.5 * np.exp(-0.5 * d * d) * sc.i0e(a * b)
+    return min(max(float(out), 0.0), 1.0)
 
 
-def marcum_q1_asymptotic(a, b):
-    """Large-argument approximation of Q1(a, b).
+_marcum_q1_elementwise = np.vectorize(marcum_q1, otypes=[float])
+
+
+def marcum_q1_asymptotic(a: float, b: float) -> float:
+    """Large-argument approximation of Q1(a, b), for scalars.
 
     The Gaussian-prefactor form (2 pi a b)^{-1/2} exp(-(b-a)^2/2).  Only
     meaningful as a cross-check for large arguments; raises for a = 0
     (prefactor diverges).
     """
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    if np.any(a_arr <= 0):
+    if a <= 0:
         raise ValueError("marcum_q1_asymptotic requires a > 0")
-    if np.any(b_arr < 0):
+    if b < 0:
         raise ValueError("marcum_q1_asymptotic requires b >= 0")
-    out = np.exp(-0.5 * (b_arr - a_arr) ** 2) / np.sqrt(
-        2.0 * math.pi * a_arr * b_arr
-    )
-    return float(out) if np.ndim(out) == 0 else out
+    d = b - a
+    return float(np.exp(-0.5 * (d * d)) / math.sqrt(2.0 * math.pi * a * b))
 
 
 def marcum_q1_bounds(a, b):

@@ -442,6 +442,23 @@ class TestRejectedInputs:
         assert code == 2
         assert "--out" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("snr_db", ["3000", "3080"])
+    def test_instant_outage_prints_no_negative_zero(self, capsys, snr_db):
+        # c/P1 rounds to alpha (or both are 0), so 1 - e^{alpha - c/P1} is -0.0 unclamped.
+        code, out, _ = run(capsys, "outage", "--k", "4", "--snr-db", snr_db, "--rate-nats",
+                           "1e-20", "--power-mode", "short-term")
+        assert code == 0
+        row = parse_csv(out)[1][0]
+        assert row["eps1"] == "0"
+        assert not any(value.startswith("-0") for value in row.values())
+
+    def test_underflowing_long_term_threshold_is_named(self, capsys):
+        # 2(e^R - 1)/P is 2e-20 / 1e308 = 0, where the two-level split has no P0.
+        code, err = exit_status(capsys, "outage", "--k", "4", "--snr-db", "3080", "--rate-nats",
+                                "1e-20", "--power-mode", "long-term")
+        assert code == 3
+        assert "rate_nats" in err and "power" in err and "alpha" not in err
+
     @pytest.mark.parametrize("k", ["5000", "1000000"])
     def test_unbounded_p0_is_a_numerical_failure(self, capsys, k):
         # (1 - e^{-alpha})^K underflows: P0 is inf at K = 5000 and 1/0 at 1e6.

@@ -231,6 +231,11 @@ class TestBounds:
             math.exp(-2.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize("alpha,rho", [(1e-17, 0.99), (1e-16, 0.9)])
+    def test_bracket_is_a_probability(self, alpha, rho):
+        # 1 + Q1(rho s, s) - Q1(s, rho s) rounds 1 ulp above 1 at these points.
+        assert rate_bracket(alpha, CorrelationParams(rho)) == 1.0
+
     def test_bracket_asymptotic_path_cancels(self):
         # the two asymptotic terms are symmetric, so the bracket is exactly 1
         assert rate_bracket(math.log(1e8) - 2.0, CorrelationParams(0.5), asymptotic=True) == 1.0

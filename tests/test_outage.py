@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -62,6 +63,13 @@ class TestPowerMode:
         assert power_split_longterm(10.0, 1.0, 4) == PowerMode.long_term().resolve(
             10.0, 1.0, 4
         )
+
+    def test_numpy_user_count_gives_floats(self):
+        cfg = OutageConfig(np.int64(4), 10.0, CorrelationParams(0.5), 1.0, 0.5,
+                           PowerMode.long_term())
+        report = outage_outdated(cfg)
+        assert all(type(v) is float for v in vars(report).values())
+        assert report.p0 == outage_outdated(replace(cfg, num_users=4)).p0
 
 
 class TestInstantPieces:
@@ -330,6 +338,13 @@ class TestValidation:
         # (e^R - 1)/P1 past the float range: a numerical failure, not a usage error.
         with pytest.raises(OverflowError, match=f"rate_nats = .*, {power_name} = "):
             evaluate()
+
+    def test_underflowing_long_term_threshold_is_named(self):
+        # 2(e^R - 1)/P rounds to 0, where the two-level split has no P0.  Short-term
+        # power may use alpha = 0: all-zero feedback then has probability 0.
+        with pytest.raises(ArithmeticError, match="rate_nats = 1e-20, power = 1e[+]308"):
+            default_threshold(PowerMode.long_term(), 1e308, 1e-20)
+        assert default_threshold(PowerMode.short_term(), 1e308, 1e-20) == 0.0
 
     @pytest.mark.parametrize(
         "form,args",

@@ -79,3 +79,23 @@ def test_tracer_sees_the_cli_optimizer(tmp_path):
     finally:
         tracer.restore()
     assert tracer.summary()["ergodic.optimal_threshold"]["calls"] == 3
+
+
+def test_outdated_outage_counts_four_marcum_elements():
+    # eps1 and eps0 each read two scalar Q1 values through outage.marcum_q1.
+    tracing = _load_tracing()
+    pkg = types.SimpleNamespace(channel=channel, cli=cli, ergodic=ergodic, mcsim=mcsim,
+                                outage=outage, specfun=specfun)
+    cfg = outage.OutageConfig(4, 10.0, channel.CorrelationParams(0.5), 1.0, 0.5,
+                              outage.PowerMode.long_term())
+    tracer = tracing.Tracer()
+    tracing.install(tracer, pkg)
+    try:
+        for _ in range(3):
+            outage.outage_outdated(cfg)
+    finally:
+        tracer.restore()
+    summary = tracer.summary()
+    assert summary["outage.outage_outdated"]["calls"] == 3
+    assert summary["specfun.marcum_q1"]["calls"] == 12
+    assert tracer.counts["specfun.marcum_q1.elements"] == 12
