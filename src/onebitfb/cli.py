@@ -346,15 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name, cmd in _COMMANDS.items():
         _add_flags(sub.add_parser(name), cmd.flags)
     figures = sub.add_parser("figure").add_subparsers(dest="figure_id", required=True)
-    for name, (_, defaults) in _FIGURES.items():
+    for name, (_, defaults, _) in _FIGURES.items():
         fig = figures.add_parser(name)
         _add_flags(fig, tuple(f.replace("_", "-") for f in defaults))
         fig.set_defaults(**defaults)
     return parser
 
 
-def _run_command(args) -> int:
-    """Evaluate the command at every sweep point and write one table."""
+def _command_tables(args):
+    """The command's one table, its rows evaluated at every sweep point."""
     cmd = _COMMANDS[args.command]
     base = {key: _VALUES[key](args) for key in cmd.base}
     rows = _sweep_rows(args, cmd.rows, base, getattr(args, "sweep", None))
@@ -362,12 +362,11 @@ def _run_command(args) -> int:
     for key, value in meta.items():  # a swept value echoed here is read nowhere else
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{key} must be finite")
-    _write_table(args.out, args.format, meta, list(rows[0]), rows)
-    return 0
+    yield args.out, meta, list(rows[0]), rows
 
 
 def _figure_out(args, series: str) -> str | None:
-    if args.out is None:
+    if args.out in (None, "-"):
         return None
     stem, dot, ext = args.out.rpartition(".")
     if dot and ext in ("csv", "json"):
@@ -377,7 +376,7 @@ def _figure_out(args, series: str) -> str | None:
 
 def _check_out(args) -> None:
     """Reject an --out that cannot be written, before anything is computed."""
-    if args.out is None or (args.out == "-" and args.command != "figure"):
+    if args.out in (None, "-"):
         return
     path = _figure_out(args, "series") if args.command == "figure" else args.out
     folder = os.path.dirname(path) or "."
@@ -389,62 +388,55 @@ def _check_out(args) -> None:
         raise ValueError(f"--out: cannot write {path}")
 
 
-def _emit_series(args, figure_id: str, series: str, columns, rows):
-    meta = {"command": "figure", "figure_id": figure_id, "series": series}
-    _write_table(_figure_out(args, series), args.format, meta, columns, rows)
-
-
-def _rate_series(args, figure_id: str, series: str, key: str, xs, rate_at):
-    """Emit one series of rate_at(x), in nats and bits, at each x of ``xs``."""
-    rates = [rate_at(x) for x in xs]
-    rows = [{key: x, "rate_nats": r, "rate_bits": r / _LOG2} for x, r in zip(xs, rates)]
-    _emit_series(args, figure_id, series, [key, "rate_nats", "rate_bits"], rows)
+def _rate_rows(rate_at, pt):
+    """A rate curve's row at ``pt``: ``rate_at`` of the point's one value, in nats
+    and bits.  ``rate_at`` takes the place of the parsed arguments."""
+    rate = rate_at(*pt.values())
+    yield {**pt, "rate_nats": rate, "rate_bits": rate / _LOG2}
 
 
 def _figure1(args):
     """Ergodic sum-rate vs number of users at P = --snr-db (default 20 dB)."""
     power = 10.0 ** (args.snr_db / 10.0)
-    ks = [2 ** i for i in range(1, 11)]
-    _rate_series(args, "fig1", "full_csi", "k", ks, lambda k: ergodic.full_csi_rate(k, power))
+    ks = ("k", [2 ** i for i in range(1, 11)])
+    yield "full_csi", _sweep_rows(lambda k: ergodic.full_csi_rate(k, power), _rate_rows,
+                                  {"k": 1}, ks)
+    optimal = argparse.Namespace(alpha=None)
     for rho in (1.0, 0.9, 0.5):
-        _rate_series(args, "fig1", f"onebit_rho{rho}", "k", ks,
-                     lambda k: _opt_rate(k, power, rho))
-    _rate_series(args, "fig1", "no_csi", "k", ks, lambda k: ergodic.no_csi_rate(power))
-
-
-def _opt_rate(k: int, power: float, rho: float) -> float:
-    corr = channel.CorrelationParams(rho)
-    alpha = ergodic.optimal_threshold(k, power, corr)
-    return ergodic.sum_rate(ergodic.ErgodicConfig(k, power, corr, alpha))
+        base = {"k": 1, "snr_db": args.snr_db, "rho": rho}
+        yield f"onebit_rho{rho}", _sweep_rows(optimal, _ergodic_rows, base, ks)
+    yield "no_csi", _sweep_rows(lambda k: ergodic.no_csi_rate(power), _rate_rows, {"k": 1}, ks)
 
 
 def _figure2(args):
     """Low-SNR spectral efficiency vs Eb/N0 for K users (default 100)."""
-    grid_db = [(-2.0 + 0.5 * i) for i in range(25)]
+    base, grid = {"ebn0_db": 0.0}, ("ebn0_db", [(-2.0 + 0.5 * i) for i in range(25)])
     for rho in (1.0, 0.9, 0.5):
         corr = channel.CorrelationParams(rho)
         alpha = ergodic.optimal_threshold(args.k, 1.0, corr)
         wb = ergodic.wideband_metrics(alpha, args.k, corr)
-        _rate_series(args, "fig2", f"exact_rho{rho}", "ebn0_db", grid_db,
-                     lambda db: ergodic.rate_at_ebn0(db, args.k, corr, alpha)[0])
-        _rate_series(args, "fig2", f"affine_rho{rho}", "ebn0_db", grid_db,
-                     lambda db: ergodic.affine_rate_approx(db, wb))
+        yield f"exact_rho{rho}", _sweep_rows(
+            lambda db: ergodic.rate_at_ebn0(db, args.k, corr, alpha)[0], _rate_rows, base, grid
+        )
+        yield f"affine_rho{rho}", _sweep_rows(
+            lambda db: ergodic.affine_rate_approx(db, wb), _rate_rows, base, grid
+        )
     # no-CSI reference: single user, rho = 0, alpha = 0
     no_fb = channel.CorrelationParams(0.0)
-    _rate_series(args, "fig2", "no_csi", "ebn0_db", grid_db,
-                 lambda db: ergodic.rate_at_ebn0(db, 1, no_fb, 0.0)[0])
+    yield "no_csi", _sweep_rows(
+        lambda db: ergodic.rate_at_ebn0(db, 1, no_fb, 0.0)[0], _rate_rows, base, grid
+    )
 
 
 _FIGURE_GRID_DB = [2.0 * i for i in range(21)]
 
 
-def _outage_series(args, figure_id, series, k, rho, rate, mode, alpha=None):
+def _outage_curve(k, rho, rate, mode, alpha=None) -> list[dict]:
     """Outage vs SNR on a 0..40 dB grid, from the outage command's rows; the
     threshold is ``alpha``, or the zero-outage threshold where it is None."""
     opts = argparse.Namespace(power_mode=mode, alpha=None if alpha is None else (str(alpha), alpha))
     base = {"k": k, "snr_db": 0.0, "rho": rho, "rate_nats": rate}
-    rows = _sweep_rows(opts, _outage_rows, base, ("snr_db", _FIGURE_GRID_DB))
-    _emit_series(args, figure_id, series, ["snr_db", "eps"], rows)
+    return _sweep_rows(opts, _outage_rows, base, ("snr_db", _FIGURE_GRID_DB))
 
 
 def _figure3(args):
@@ -453,47 +445,51 @@ def _figure3(args):
     modes = (("short", outage.PowerMode.short_term()), ("long", outage.PowerMode.long_term()))
     for k in (1, 8, 16):
         for mode_name, mode in modes:
-            _outage_series(args, "fig3", f"k{k}_{mode_name}", k, 1.0, rate, mode)
+            yield f"k{k}_{mode_name}", _outage_curve(k, 1.0, rate, mode)
 
 
 def _figure4(args):
     """Outdated-feedback outage vs SNR for K users (default 16) under long-term power."""
     rate = args.rate_bits * _LOG2
     for rho in (0.0, 0.5, 0.9, 1.0):
-        _outage_series(args, "fig4", f"rho{rho}", args.k, rho, rate, outage.PowerMode.long_term())
+        yield f"rho{rho}", _outage_curve(args.k, rho, rate, outage.PowerMode.long_term())
     # SISO no-feedback reference at full power: one user, rho = 0 and alpha = 0
-    _outage_series(args, "fig4", "no_csi", 1, 0.0, rate, outage.PowerMode.short_term(), alpha=0.0)
+    yield "no_csi", _outage_curve(1, 0.0, rate, outage.PowerMode.short_term(), alpha=0.0)
 
 
 def _figure5(args):
     """DMT curves for all schemes at K users (default 16)."""
     for scheme in outage.DMT_SCHEMES:
-        rows = _dmt_rows(argparse.Namespace(scheme=scheme), {"k": args.k})
-        _emit_series(args, "fig5", scheme, ["r", "d"], rows)
+        yield scheme, _sweep_rows(argparse.Namespace(scheme=scheme), _dmt_rows, {"k": args.k}, None)
 
 
-# Each figure with the flags it reads besides --out and --format,
-# and their defaults for that figure.
+# Each figure with the flags it reads besides --out and --format, their
+# defaults for that figure, and the columns of its series.
 _FIGURES = {
-    "fig1": (_figure1, {"snr_db": 20.0}),
-    "fig2": (_figure2, {"k": 100}),
-    "fig3": (_figure3, {"rate_bits": 3.0}),
-    "fig4": (_figure4, {"k": 16, "rate_bits": 3.0}),
-    "fig5": (_figure5, {"k": 16}),
+    "fig1": (_figure1, {"snr_db": 20.0}, ["k", "rate_nats", "rate_bits"]),
+    "fig2": (_figure2, {"k": 100}, ["ebn0_db", "rate_nats", "rate_bits"]),
+    "fig3": (_figure3, {"rate_bits": 3.0}, ["snr_db", "eps"]),
+    "fig4": (_figure4, {"k": 16, "rate_bits": 3.0}, ["snr_db", "eps"]),
+    "fig5": (_figure5, {"k": 16}, ["r", "d"]),
 }
 
 
-def _cmd_figure(args) -> int:
-    _FIGURES[args.figure_id][0](args)
-    return 0
+def _figure_tables(args):
+    """One table per series of the figure, each computed after the one before is written."""
+    figure, _, columns = _FIGURES[args.figure_id]
+    for series, rows in figure(args):
+        meta = {"command": "figure", "figure_id": args.figure_id, "series": series}
+        yield _figure_out(args, series), meta, columns, rows
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    run = _cmd_figure if args.command == "figure" else _run_command
+    tables = _figure_tables if args.command == "figure" else _command_tables
     try:
         _check_out(args)
-        return run(args)
+        for path, meta, columns, rows in tables(args):
+            _write_table(path, args.format, meta, columns, rows)
+        return 0
     except ArithmeticError as exc:  # OverflowError, or a root search that did not converge
         at = "".join(f" {k}={_fmt(v)}" for k, v in getattr(exc, "point", {}).items())
         print(f"numerical failure{' at' + at if at else ''}: {exc}", file=sys.stderr)

@@ -161,6 +161,13 @@ class TestOutputHandling:
         assert "f5_longterm_1bit.csv" in files
         assert len(files) == 6
 
+    def test_figure_dash_out_is_stdout(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "figure", "fig5", "--out", "-")
+        assert code == 0
+        assert sum(line.startswith("# ") for line in out.splitlines()) == 6
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [["dmt", "--k", "4"], ["figure", "fig5"]])
     def test_closed_stdout_stops_quietly(self, argv):
         # The pipe's read end is closed before the command starts, as after
@@ -350,7 +357,7 @@ class TestRejectedInputs:
             code, err = exit_status(capsys, "figure", "fig1", "--snr-db", "3080",
                                     "--out", str(tmp_path / "f.csv"))
         assert code == 3
-        assert "power" in err
+        assert "power" in err and " at k=" in err
         _, rows = parse_csv((tmp_path / "f_full_csi.csv").read_text())
         assert all(math.isfinite(float(r["rate_nats"])) for r in rows)
 

@@ -10,6 +10,8 @@ harness; regenerate them only for an intended output change, with
 which prints each golden file it added, removed or changed.
 """
 
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -76,15 +78,35 @@ def test_output_is_byte_identical(case, tmp_path):
         assert got[name] == want[name], f"{case}: {name} differs from the golden file"
 
 
-if __name__ == "__main__":
+def regenerate(golden: Path = GOLDEN) -> None:
+    """Rewrite the golden files, printing each one added, removed or changed.  Each
+    command writes into a temporary directory, so a failing one (an AssertionError
+    from _run) leaves its case's golden files as they were."""
     for case, text in COMMANDS.items():
-        target = GOLDEN / case
+        with tempfile.TemporaryDirectory() as tmp:
+            after = _run(text.split(), Path(tmp))
+        target = golden / case
+        target.mkdir(parents=True, exist_ok=True)
         before = {p.name: p.read_bytes() for p in target.glob("*")}
-        for old in target.glob("*"):
-            old.unlink()
-        after = _run(text.split(), target)
         for name in sorted(before.keys() | after.keys()):
             if name not in after:
+                (target / name).unlink()
                 print(f"{case}/{name}: removed")
             elif before.get(name) != after[name]:
+                (target / name).write_bytes(after[name])
                 print(f"{case}/{name}: {'changed' if name in before else 'new'}")
+
+
+def test_regenerating_keeps_the_goldens_of_a_failing_command(tmp_path, monkeypatch):
+    case = tmp_path / next(iter(COMMANDS))
+    case.mkdir()
+    (case / "out.csv").write_bytes(b"kept\n")
+    monkeypatch.setattr(sys.modules[__name__], "main", lambda argv: 3)
+    with pytest.raises(AssertionError):
+        regenerate(tmp_path)
+    assert [p.name for p in case.iterdir()] == ["out.csv"]
+    assert (case / "out.csv").read_bytes() == b"kept\n"
+
+
+if __name__ == "__main__":
+    regenerate()
