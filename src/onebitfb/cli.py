@@ -137,6 +137,8 @@ def _resolve_rho(args) -> channel.CorrelationParams:
 
 
 def _rate_nats(args) -> float:
+    if args.rate_nats is not None and args.rate_bits is not None:
+        raise ValueError("--rate-bits and --rate-nats conflict: give one")
     if args.rate_nats is not None:
         return args.rate_nats
     if args.rate_bits is not None:
@@ -504,6 +506,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
+    except OSError as exc:  # an output file that _check_out could not foresee
+        print(f"error: --out: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

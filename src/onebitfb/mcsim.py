@@ -116,16 +116,11 @@ def _draw_blocks(rng, rho: float, n: int, k: int, alpha: float):
 def _aggregate(cfg: SimConfig, per_block) -> list[McEstimate]:
     """Stream chunks through ``per_block`` and reduce each row it returns to an McEstimate."""
     total = total_sq = 0.0
-    n_done = 0
-    chunk_idx = 0
-    while n_done < cfg.n_blocks:
-        n = min(_CHUNK, cfg.n_blocks - n_done)
+    for chunk_idx, start in enumerate(range(0, cfg.n_blocks, _CHUNK)):
         rng = _chunk_rng(cfg.seed, chunk_idx)
-        x = np.array(per_block(rng, n), dtype=float, ndmin=2)
+        x = np.array(per_block(rng, min(_CHUNK, cfg.n_blocks - start)), dtype=float, ndmin=2)
         total += x.sum(axis=1)
         total_sq += (x * x).sum(axis=1)
-        n_done += n
-        chunk_idx += 1
     mean = total / cfg.n_blocks
     stderr = np.sqrt(np.maximum(total_sq / cfg.n_blocks - mean * mean, 0.0) / cfg.n_blocks)
     return [McEstimate(float(m), float(se), cfg.n_blocks) for m, se in zip(mean, stderr)]
@@ -145,31 +140,25 @@ def _outage_and_power(cfg: SimConfig) -> tuple[McEstimate | None, McEstimate]:
     """Outage frequency (None without ``rate_nats``) and mean transmit power, in one pass."""
     mode = cfg.mode or PowerMode.short_term()
     p1, p0 = mode.resolve(cfg.power, cfg.threshold, cfg.num_users)
-    # Sum the powers times 2^-e, which scales each rounding exactly, without overflow.
-    e = math.frexp(max(p1, p0, 1.0))[1]
-    q1, q0 = math.ldexp(p1, -e), math.ldexp(p0, -e)
 
     def per_block(rng, n):
         _, v_tau, n_above = _draw_blocks(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold)
         tx = n_above > 0
-        rows = [np.where(tx, q1, q0)]
+        rows = [tx]
         if cfg.rate_nats is not None:
             with np.errstate(over="ignore"):  # a gain times P past 1.8e308 is no outage
                 achieved = np.log1p(v_tau**2 * np.where(tx, p1, p0))
             rows.append(achieved < cfg.rate_nats)
         return rows
 
-    power, *outage = _aggregate(cfg, per_block)
-    power = McEstimate(math.ldexp(power.mean, e), math.ldexp(power.stderr, e), power.n)
-    if not outage:
-        return None, power
-    p_hat = outage[0].mean
-    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / cfg.n_blocks)  # binomial
-    return McEstimate(p_hat, stderr, cfg.n_blocks), power
+    # Each block sends P1 or P0: the mean power is P0 + (P1 - P0) f, f the fraction with N > 0.
+    frac, *outage = _aggregate(cfg, per_block)
+    power = McEstimate(p0 + (p1 - p0) * frac.mean, abs(p1 - p0) * frac.stderr, frac.n)
+    return (outage[0] if outage else None), power
 
 
 def simulate_outage(cfg: SimConfig) -> McEstimate:
-    """Empirical outage frequency, with binomial standard error."""
+    """Empirical outage frequency, with _aggregate's sample stderr (binomial for a 0/1 row)."""
     if cfg.rate_nats is None:
         raise ValueError("outage simulation needs rate_nats > 0")
     return _outage_and_power(cfg)[0]

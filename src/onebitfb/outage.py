@@ -183,20 +183,19 @@ def eps1_outdated(rate_nats: float, p1: float, alpha: float, corr: CorrelationPa
     check_positive("rate_nats", rate_nats)
     check_nonnegative("p1", p1)
     check_nonnegative("alpha", alpha)
-    if p1 == 0.0:
-        return 1.0
+    c = _snr_for(rate_nats)
+    x = c / p1 if p1 > 0.0 else math.inf
+    if math.isinf(x):
+        return 1.0  # P1 = 0, or c/P1 past the float range: the P1 -> 0 limit
     if corr.is_instantaneous:
         if rate_nats <= math.log1p(p1 * alpha):
             return 0.0
-        return max(0.0, -math.expm1(alpha - _snr_for(rate_nats) / p1))  # not -0.0 at c/P1 = alpha
+        return max(0.0, -math.expm1(alpha - x))  # not -0.0 at c/P1 = alpha
     if corr.rho == 0.0:
-        return -math.expm1(-_snr_for(rate_nats) / p1)
-    c = _snr_for(rate_nats)
-    if math.isinf(c / p1):
-        return 1.0  # the P1 -> 0 limit of the Marcum form, as at P1 = 0
+        return -math.expm1(-x)
     q_a, q = _marcum_pair(rate_nats, c, p1, alpha, corr)
     # e^{alpha - c/P1} Q1 <= 1, so the exponential overflows only where Q1 underflows.
-    val = q_a - (math.exp(alpha - c / p1) * q if q > 0.0 else 0.0)
+    val = q_a - (math.exp(alpha - x) * q if q > 0.0 else 0.0)
     return min(max(val, 0.0), 1.0)
 
 
@@ -209,19 +208,18 @@ def eps0_outdated(rate_nats: float, p0: float, alpha: float, corr: CorrelationPa
     check_positive("rate_nats", rate_nats)
     check_nonnegative("p0", p0)
     check_positive("alpha", alpha)  # the all-zero feedback event has probability 0 at alpha = 0
-    if p0 == 0.0:
-        return 1.0
+    c = _snr_for(rate_nats)
+    x = c / p0 if p0 > 0.0 else math.inf
+    if math.isinf(x):
+        return 1.0  # P0 = 0, or c/P0 past the float range: the P0 -> 0 limit
     if corr.is_instantaneous:
-        if rate_nats <= math.log1p(p0 * alpha):
-            return -math.expm1(-_snr_for(rate_nats) / p0) / -math.expm1(-alpha)
+        if rate_nats <= math.log1p(p0 * alpha):  # c/P0 may still round one ulp above alpha
+            return min(-math.expm1(-x) / -math.expm1(-alpha), 1.0)
         return 1.0
     if corr.rho == 0.0:
-        return -math.expm1(-_snr_for(rate_nats) / p0)
-    c = _snr_for(rate_nats)
-    if math.isinf(c / p0):
-        return 1.0  # the P0 -> 0 limit of the Marcum form, as at P0 = 0
+        return -math.expm1(-x)
     q_a, q = _marcum_pair(rate_nats, c, p0, alpha, corr)
-    ecr = math.exp(-c / p0)
+    ecr = math.exp(-x)
     val = (1.0 - ecr - math.exp(-alpha) * q_a + ecr * q) / -math.expm1(-alpha)
     return min(max(val, 0.0), 1.0)
 

@@ -303,6 +303,13 @@ class TestRejectedInputs:
         assert code == 2
         assert "--snr-db" in err
 
+    @pytest.mark.parametrize("command", ["outage", "simulate"])
+    def test_rate_bits_and_rate_nats_conflict(self, capsys, command):
+        code, err = exit_status(capsys, command, "--k", "4", "--rho", "0.5", "--rate-bits", "1",
+                                "--rate-nats", "2")
+        assert code == 2
+        assert "--rate-bits" in err and "--rate-nats" in err
+
     @pytest.mark.parametrize("argv", [
         # alpha (1 - rho^2) > 60: the Marcum-Q factor of the conditional
         # density is below what chndtr resolves; the rate does not use it.
@@ -446,6 +453,14 @@ class TestRejectedInputs:
 
         monkeypatch.setattr(cli.ergodic, "integrate_semi_infinite", no_rates)
         code, err = exit_status(capsys, *argv, "--out", str(tmp_path / out))
+        assert code == 2
+        assert "--out" in err and "Traceback" not in err
+
+    def test_out_failing_midway_is_a_usage_error(self, capsys, monkeypatch, tmp_path):
+        # The first series' file is a directory, which only the write itself finds.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f_full_csi.csv").mkdir()
+        code, err = exit_status(capsys, "figure", "fig5", "--out", "f.csv")
         assert code == 2
         assert "--out" in err and "Traceback" not in err
 

@@ -179,6 +179,12 @@ class TestPowerAccounting:
         cfg = _cfg(mode=PowerMode.explicit(1e308, 1e308), rate_nats=1.0, n_blocks=1000)
         assert simulate_avg_power(cfg).mean == pytest.approx(1e308, rel=1e-15)
         assert simulate_outage(cfg).mean < 0.01
+        # P1 near the float limit and P0 = 0: the mean is P1 times the transmitting fraction.
+        cfg = _cfg(mode=PowerMode.explicit(1.7e308, 0.0), n_blocks=1000)
+        _, _, n_above = _draw_blocks(_chunk_rng(cfg.seed, 0), cfg.corr.rho, 1000, 4, 1.0)
+        mean = simulate_avg_power(cfg).mean
+        assert math.isfinite(mean)
+        assert mean == pytest.approx(1.7e308 * (n_above > 0).mean(), rel=1e-15)
 
     def test_negative_seed_is_named(self):
         with pytest.raises(ValueError, match="seed"):

@@ -91,6 +91,10 @@ class TestInstantPieces:
         r_b = math.log1p(p0 * a)
         assert eps0_outdated(r_b, p0, a, CorrelationParams(1.0)) == pytest.approx(1.0, rel=1e-12)
         assert eps0_outdated(r_b + 0.01, p0, a, CorrelationParams(1.0)) == 1.0
+        # R <= log(1 + P0 alpha) holds by roundoff while (e^R - 1)/P0 is one ulp above alpha
+        edge = eps0_outdated(5.904530806425463, 318.3970824767598, 1.1485505192854613,
+                             CorrelationParams(1.0))
+        assert 1.0 - 1e-12 <= edge <= 1.0
 
     def test_eps0_needs_positive_alpha(self):
         with pytest.raises(ValueError):
@@ -313,6 +317,8 @@ class TestValidation:
                          id="eps1_instant"),
             pytest.param(lambda r: eps1_outdated(r, 1.0, 0.5, CorrelationParams(0.5)),
                          id="eps1_outdated"),
+            pytest.param(lambda r: eps0_outdated(r, 1.0, 0.5, CorrelationParams(1.0)),
+                         id="eps0_instant"),
             pytest.param(lambda r: eps0_outdated(r, 1.0, 0.5, CorrelationParams(0.5)),
                          id="eps0_outdated"),
             pytest.param(lambda r: zero_outage_threshold(10.0, r), id="zero_outage_threshold"),
