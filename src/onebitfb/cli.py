@@ -507,7 +507,8 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 0
     except OSError as exc:  # an output file that _check_out could not foresee
-        print(f"error: --out: {exc}", file=sys.stderr)
+        named = "--out: " if args.out not in (None, "-") else ""
+        print(f"error: {named}{exc}", file=sys.stderr)
         return 2
 
 

@@ -151,9 +151,12 @@ def _outage_and_power(cfg: SimConfig) -> tuple[McEstimate | None, McEstimate]:
             rows.append(achieved < cfg.rate_nats)
         return rows
 
-    # Each block sends P1 or P0: the mean power is P0 + (P1 - P0) f, f the fraction with N > 0.
+    # Each block sends P1 or P0: the mean power is P0 + (P1 - P0) f, f the fraction with N > 0,
+    # stepped from the nearer end so that P0 >> P1 at f near 1 does not cancel (1 - f is exact).
     frac, *outage = _aggregate(cfg, per_block)
-    power = McEstimate(p0 + (p1 - p0) * frac.mean, abs(p1 - p0) * frac.stderr, frac.n)
+    f = frac.mean
+    mean = p0 + (p1 - p0) * f if f <= 0.5 else p1 - (p1 - p0) * (1.0 - f)
+    power = McEstimate(mean, abs(p1 - p0) * frac.stderr, frac.n)
     return (outage[0] if outage else None), power
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -463,6 +464,16 @@ class TestRejectedInputs:
         code, err = exit_status(capsys, "figure", "fig5", "--out", "f.csv")
         assert code == 2
         assert "--out" in err and "Traceback" not in err
+
+    def test_stdout_failure_does_not_name_out(self, capsys, monkeypatch):
+        # No --out was given, so a failing stdout is not reported as an --out error.
+        def full(text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(sys.stdout, "write", full)
+        code, err = exit_status(capsys, "outage", "--k", "4", "--rho", "0.5", "--rate-bits", "1")
+        assert code == 2
+        assert "No space left" in err and "--out" not in err
 
     @pytest.mark.parametrize("snr_db", ["3000", "3080"])
     def test_instant_outage_prints_no_negative_zero(self, capsys, snr_db):

@@ -18,7 +18,13 @@ from onebitfb.mcsim import (
     simulate_ergodic_rate,
     simulate_outage,
 )
-from onebitfb.outage import OutageConfig, PowerMode, outage_instant, outage_outdated
+from onebitfb.outage import (
+    OutageConfig,
+    PowerMode,
+    default_threshold,
+    outage_instant,
+    outage_outdated,
+)
 
 N = 200_000
 
@@ -185,6 +191,20 @@ class TestPowerAccounting:
         mean = simulate_avg_power(cfg).mean
         assert math.isfinite(mean)
         assert mean == pytest.approx(1.7e308 * (n_above > 0).mean(), rel=1e-15)
+
+    def test_long_term_p0_far_above_p1(self):
+        # K = 16 at 13 dB: Pr(N = 0) ~ 5e-17 puts P0 near 2e17 against P1 near 10, and no
+        # block of 1000 is silent, so the mean is P1 itself, not P1 lost against P0.
+        mode = PowerMode.long_term()
+        power, rate = 10 ** 1.3, math.log(2.0)
+        alpha = default_threshold(mode, power, rate)
+        cfg = _cfg(num_users=16, power=power, threshold=alpha, mode=mode, n_blocks=1000)
+        p1, p0 = mode.resolve(power, alpha, 16)
+        _, _, n_above = _draw_blocks(_chunk_rng(cfg.seed, 0), cfg.corr.rho, 1000, 16, alpha)
+        assert p0 > 1e16 * p1 and (n_above > 0).all()
+        mean = simulate_avg_power(cfg).mean
+        assert min(p1, p0) <= mean <= max(p1, p0)
+        assert mean == p1
 
     def test_negative_seed_is_named(self):
         with pytest.raises(ValueError, match="seed"):
