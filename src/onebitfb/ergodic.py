@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import CorrelationParams, check_count, check_nonnegative, check_positive
-from .specfun import QuadratureSpec, integrate_semi_infinite, marcum_q1, marcum_q1_asymptotic
+from .specfun import QuadratureSpec, integrate_semi_infinite, marcum_q1
 
 __all__ = [
     "ErgodicConfig",
@@ -146,9 +146,10 @@ def rate_bracket(alpha: float, corr: CorrelationParams, asymptotic: bool = False
 
     1 + Q1(|rho| s, s) - Q1(s, |rho| s) with s = sqrt(2 alpha)/sqrt(1-rho^2),
     the probability Pr(v_tau^2 >= alpha | v^2 >= alpha), capped at 1 (roundoff
-    passes it by 1 ulp as alpha -> 0).  With ``asymptotic=True`` both Q1 terms
-    are replaced by their large-argument Gaussian-prefactor approximation (the
-    form under which the brace tends to 1 as alpha grows), uncapped.
+    passes it by 1 ulp as alpha -> 0); an s that overflows is an OverflowError
+    naming alpha.  ``asymptotic=True`` puts the symmetric Gaussian-prefactor
+    form of Q1 in both terms, so it is exactly 1: not the large-alpha limit,
+    since at fixed |rho| < 1 the brace falls toward 0 as alpha grows.
     """
     check_nonnegative("alpha", alpha)
     if corr.is_instantaneous:
@@ -157,9 +158,11 @@ def rate_bracket(alpha: float, corr: CorrelationParams, asymptotic: bool = False
     if r == 0.0 or alpha == 0.0:
         # Q1(0, s) = exp(-s^2/2) = exp(-alpha/(1-rho^2)); Q1(s, 0) = 1.
         return math.exp(-alpha / (1.0 - r * r))
-    s = math.sqrt(2.0 * alpha) / math.sqrt(1.0 - r * r)
     if asymptotic:
-        return 1.0 + marcum_q1_asymptotic(r * s, s) - marcum_q1_asymptotic(s, r * s)
+        return 1.0
+    s = math.sqrt(2.0 * alpha) / math.sqrt(1.0 - r * r)
+    if math.isinf(s):
+        raise OverflowError(f"alpha = {alpha:.6g} overflows a Marcum-Q argument")
     return min(1.0 + marcum_q1(r * s, s) - marcum_q1(s, r * s), 1.0)
 
 
@@ -240,14 +243,15 @@ def _newton(step_at, x: float, lo: float, up: float, name: str, f_tol: float = 0
     """The root of an increasing f in (lo, up), by safeguarded Newton steps from x.
 
     ``step_at(x)`` returns f(x) and the Newton step there, or NaN where it
-    has none.  The sign of f keeps a bracket; a step that would leave it,
-    or that does not halve the step before last, is replaced by bisection,
-    or by 4 toward the root while an end of the bracket is infinite.
+    has none.  The sign of f keeps a bracket.  The first step past a finite
+    ``up`` goes onto it; any other step that would leave the bracket, or not
+    halve the step before last, is a bisection (4 toward the root while an
+    end of the bracket is infinite).
     Returns x once |f(x)| is at most ``f_tol``, or the point after the step
     once a step is at most 1e-12 or the bracket is 1e-12 wide.  Reaching
     ``_MAX_STEPS`` raises ArithmeticError naming ``name``.
     """
-    last = before = math.inf
+    last, before, top = math.inf, math.inf, up  # top: the upper end, until a step lands on it
     for _ in range(_MAX_STEPS):
         f, step = step_at(x)
         if abs(f) <= f_tol:
@@ -255,7 +259,9 @@ def _newton(step_at, x: float, lo: float, up: float, name: str, f_tol: float = 0
         if abs(step) <= 1e-12:
             return x + step
         lo, up = (x, up) if f < 0.0 else (lo, x)
-        if not (lo < x + step < up and abs(step) < 0.5 * abs(before)):
+        if lo < up == top <= x + step:
+            step, top = up - x, math.inf
+        elif not (lo < x + step < up and abs(step) < 0.5 * abs(before)):
             step = 0.5 * (lo + up) - x if up - lo < math.inf else math.copysign(4.0, -f)
             if up - lo <= 1e-12:
                 return x + step
@@ -324,9 +330,9 @@ def rate_at_ebn0(
     Steps stop once one moves ln P by at most 1e-12 or the implied Eb/N0 is
     within 1e-12 dB of the target: at most 6 passes from 1e-6 to 100 dB
     above Eb/N0_min, then one :func:`sum_rate` call at the final power.
-    Steps past the largest P with P (1 + alpha) finite bisect; a target above
-    the Eb/N0 there, or where Pr(N>0) I underflows to 0 (alpha past 700 at
-    small K), is an OverflowError naming ebn0_db or alpha.  ``quad`` is ignored.
+    The first step past the largest P with P (1 + alpha) finite goes onto it, so
+    a target above the Eb/N0 there is an OverflowError naming ebn0_db within 4
+    passes; a rate that underflows to 0 (alpha past 700) names alpha.  ``quad`` is ignored.
     """
     if not math.isfinite(ebn0_db):
         raise ValueError("ebn0_db must be finite")

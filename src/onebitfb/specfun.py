@@ -1,13 +1,13 @@
 """Special functions and the rate integral used by every closed form in the package.
 
 Provides the first-order Marcum-Q function (through scipy's noncentral
-chi-square CDF), its large-argument approximation and exponential bounds,
-and E[log(1 + X)] from the moment generating function of X by one fixed
-trapezoid rule, the integral behind every ergodic rate.
+chi-square CDF), its exponential bounds, and E[log(1 + X)] from the moment
+generating function of X by one fixed trapezoid rule, the integral behind
+every ergodic rate.
 
 All functions are pure.  ``marcum_q1`` and ``marcum_q1_bounds`` take
-scalars or numpy arrays; ``marcum_q1_asymptotic`` takes scalars, and
-``integrate_semi_infinite`` passes its nodes to ``log_mgf`` as one array.
+scalars or numpy arrays, and ``integrate_semi_infinite`` passes its nodes
+to ``log_mgf`` as one array.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from scipy import special as sc
 __all__ = [
     "QuadratureSpec",
     "marcum_q1",
-    "marcum_q1_asymptotic",
     "marcum_q1_bounds",
     "integrate_semi_infinite",
 ]
@@ -95,21 +94,6 @@ def marcum_q1(a, b):
 
 
 _marcum_q1_elementwise = np.vectorize(marcum_q1, otypes=[float])
-
-
-def marcum_q1_asymptotic(a: float, b: float) -> float:
-    """Large-argument approximation of Q1(a, b), for scalars.
-
-    The Gaussian-prefactor form (2 pi a b)^{-1/2} exp(-(b-a)^2/2).  Only
-    meaningful as a cross-check for large arguments; raises for a = 0
-    (prefactor diverges).
-    """
-    if a <= 0:
-        raise ValueError("marcum_q1_asymptotic requires a > 0")
-    if b < 0:
-        raise ValueError("marcum_q1_asymptotic requires b >= 0")
-    d = b - a
-    return float(np.exp(-0.5 * (d * d)) / math.sqrt(2.0 * math.pi * a * b))
 
 
 def marcum_q1_bounds(a, b):

@@ -390,6 +390,8 @@ class TestRejectedInputs:
               "--power-mode", "short-term"), 3, "rate_nats"),
             (("outage", "--k", "4", "--rho", "0.5", "--rate-bits", "1", "--alpha", "1.7e308",
               "--power-mode", "short-term"), 3, "alpha"),
+            (("ergodic", "--k", "4", "--snr-db", "-3000", "--rho", "0.5", "--alpha", "1e308"),
+             3, "alpha"),
             (("figure", "fig1", "--snr-db", "nan"), 2, "power"),
             # rho has one source: one Jakes flag alone, or one with --rho or a rho sweep, is
             # rejected rather than resolved to rho = 1 or to --rho.
@@ -530,7 +532,7 @@ _FUZZ_VALUES = {
     "doppler-hz": ["0", "50", "1e300", "-1"],
     "delay-s": ["0", "0.001", "1e300", "inf"],
     "alpha": ["optimal", "suboptimal:1", "suboptimal:1e300", "0", "1", "705", "720", "1e300",
-              "-1"],
+              "1e308", "-1"],
     "rate-bits": ["1e-300", "1", "3", "1e6", "0"],
     "rate-nats": ["1e-300", "1", "1e6", "nan"],
     "power-mode": ["long-term", "short-term", "explicit:10,40", "explicit:0,0",
@@ -588,8 +590,8 @@ def _argv(draw):
 @settings(max_examples=150)
 @given(_argv())
 def test_cli_fuzz(argv):
-    """Exit 0, 2 or 3, warnings as errors; no NaN or infinity printed; every error names
-    its argument."""
+    """Exit 0, 2 or 3, warnings as errors; no NaN, infinity or negative zero printed;
+    every error names its argument."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings():
@@ -603,5 +605,6 @@ def test_cli_fuzz(argv):
     if code == 0:
         words = re.split(r"[^a-z0-9.+-]+", out.lower())
         assert not {"nan", "inf", "-inf"} & set(words), out
+        assert not any(re.fullmatch(r"-0(\.0*)?(e[+-]?\d+)?", word) for word in words), out
     else:
         assert any(name in err for name in _NAMES), err

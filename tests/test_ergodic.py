@@ -25,6 +25,7 @@ from onebitfb.ergodic import (
     sum_rate_upper,
     wideband_metrics,
 )
+from onebitfb.outage import eps1_outdated
 from onebitfb.specfun import marcum_q1
 
 LOG2 = math.log(2.0)
@@ -240,6 +241,31 @@ class TestBounds:
         # the two asymptotic terms are symmetric, so the bracket is exactly 1
         assert rate_bracket(math.log(1e8) - 2.0, CorrelationParams(0.5), asymptotic=True) == 1.0
 
+    @pytest.mark.parametrize("alpha,rho", [(5.0, 0.5), (1.0, 1e-100), (0.01, 1e-200),
+                                           (0.1, 1e-100), (1e308, 0.5), (1e-320, 1e-10)])
+    def test_bracket_asymptotic_path_is_one(self, alpha, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rate_bracket(alpha, CorrelationParams(rho), asymptotic=True) == 1.0
+
+    @pytest.mark.parametrize("alpha", [9e307, 1e308, 1.7976931348623157e308])
+    def test_bracket_overflow_names_alpha(self, alpha):
+        # s = sqrt(2 alpha)/sqrt(1 - rho^2) overflows once 2 alpha does.
+        with pytest.raises(OverflowError, match="alpha"):
+            rate_bracket(alpha, CorrelationParams(0.5))
+
+    def test_bracket_is_one_minus_eps1(self):
+        # At R = log1p(alpha), P1 = 1, eps1's (e^R - 1)/P1 is alpha to 1 ulp, and
+        # eps1 = Q1(s, |rho| s) - Q1(|rho| s, s), the complement of the brace.
+        for rhos, tol in (([-0.99, -0.5, 1e-3, 0.1, 0.5, 0.9, 0.99], 1e-14),
+                          ([1.0 - 1e-6, 1.0 - 1e-8], 1e-11)):
+            for rho in rhos:
+                c = CorrelationParams(rho)
+                for alpha in np.geomspace(1e-12, 700.0, 29):
+                    alpha = float(alpha)
+                    eps1 = eps1_outdated(math.log1p(alpha), 1.0, alpha, c)
+                    assert abs(rate_bracket(alpha, c) - (1.0 - eps1)) <= tol, (rho, alpha)
+
 
 class TestThresholds:
     def test_suboptimal(self):
@@ -367,16 +393,20 @@ class TestWideband:
         assert ebn0_db_from_power(rate, power) == pytest.approx(-1.5, abs=1e-9)
 
     @pytest.mark.parametrize("k,rho,alpha", [(1, 0.0, 0.0), (100, 0.9, 3.0), (4, 0.5, 1.0)])
-    def test_inversion_reaches_the_largest_power(self, k, rho, alpha):
+    def test_inversion_reaches_the_largest_power(self, monkeypatch, k, rho, alpha):
         # The largest float power implies about 3,052 dB; the first Newton
-        # step from the wideband start overshoots ln P = 709.78 on the way.
+        # step from the wideband start overshoots ln P = 709.78 on the way,
+        # and goes onto it, so an unreachable target costs a few passes.
+        passes = count_passes(monkeypatch)
         c = CorrelationParams(rho)
         for target in (2700.0, 3000.0, 3040.0):
             rate, power = rate_at_ebn0(target, k, c, alpha)
             assert abs(ebn0_db_from_power(rate, power) - target) <= 1e-9
         for target in (3100.0, 1e6):
+            passes.clear()
             with pytest.raises(OverflowError, match="ebn0_db"):
                 rate_at_ebn0(target, k, c, alpha)
+            assert len(passes) <= 4, target
 
     def test_inversion_rejects_nan_target(self):
         with pytest.raises(ValueError, match="ebn0_db"):

@@ -8,7 +8,6 @@ from scipy import special
 from onebitfb.specfun import (
     integrate_semi_infinite,
     marcum_q1,
-    marcum_q1_asymptotic,
     marcum_q1_bounds,
 )
 
@@ -153,10 +152,6 @@ class TestMarcumQ1:
         a, b = 200.0, 203.0
         approx = math.sqrt(b / a) * special.ndtr(a - b)
         assert approx == pytest.approx(marcum_q1(a, b), rel=2e-2)
-
-    def test_asymptotic_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            marcum_q1_asymptotic(0.0, 1.0)
 
 
 class TestQuadrature:
