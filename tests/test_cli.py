@@ -390,8 +390,6 @@ class TestRejectedInputs:
               "--power-mode", "short-term"), 3, "rate_nats"),
             (("outage", "--k", "4", "--rho", "0.5", "--rate-bits", "1", "--alpha", "1.7e308",
               "--power-mode", "short-term"), 3, "alpha"),
-            (("ergodic", "--k", "4", "--snr-db", "-3000", "--rho", "0.5", "--alpha", "1e308"),
-             3, "alpha"),
             (("figure", "fig1", "--snr-db", "nan"), 2, "power"),
             # rho has one source: one Jakes flag alone, or one with --rho or a rho sweep, is
             # rejected rather than resolved to rho = 1 or to --rho.
@@ -413,6 +411,9 @@ class TestRejectedInputs:
             (("ergodic", "--alpha", "suboptimal:inf"), 2, "delta"),
             # Pr(N>0) is subnormal and Eb/N0_min overflows.
             (("wideband", "--k", "1", "--rho", "0.5", "--alpha", "720"), 3, "alpha"),
+            # alpha is finite but the Marcum-Q argument sqrt(2 alpha) of the rate brace overflows.
+            (("ergodic", "--k", "4", "--snr-db", "-3000", "--rho", "0.5", "--alpha", "1e308"),
+             3, "alpha"),
         ],
     )
     def test_messages_name_the_argument(self, capsys, argv, code, name):
