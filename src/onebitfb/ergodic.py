@@ -214,7 +214,10 @@ def optimal_threshold(num_users: int, power: float, corr: CorrelationParams) -> 
     0.3 log K), inside the bracket [0, log K + 6] kept by the sign of f
     (:func:`_newton`).  Each step is one pass of the rate integral that
     also gives I' and I'' (:func:`_log1p_mean`): at most 7 passes from
-    K = 2 to 1e6, rho from 0.05 to 1 and P from 1e-10 to 1e15.
+    K = 2 to 1e6, rho from 0.05 to 1 and P from 1e-10 to 1e15.  Where
+    P (1 + alpha r) < 1e-290, I' underflows toward subnormal P, and a step
+    takes the P -> 0 limit I = P (1 + alpha r) instead of a pass: there
+    alpha* solves -Pr'/Pr = r / (1 + alpha r).
     """
     check_count("num_users", num_users)
     check_positive("power", power)
@@ -225,13 +228,16 @@ def optimal_threshold(num_users: int, power: float, corr: CorrelationParams) -> 
 
     def newton_step(alpha: float) -> tuple[float, float]:
         ErgodicConfig(num_users, power, corr, alpha)  # names an overflowing P (1 + alpha)
-        rate, (mq, mq2, _) = _log1p_mean(power, alpha * r, 1.0 - r, derivatives=True)
-        if not mq * r > 0.0:  # I' underflows (rho^2 or P subnormal): the root is nearer 0
-            return math.inf, math.nan
+        if power * (1.0 + alpha * r) < 1e-290:  # the P -> 0 limit I = P (1 + alpha r), I'' = 0
+            gain, curvature = r / (1.0 + alpha * r), 0.0
+        else:
+            rate, (mq, mq2, _) = _log1p_mean(power, alpha * r, 1.0 - r, derivatives=True)
+            if not mq * r > 0.0:  # r I' underflows (rho^2 P tiny): the root is nearer 0
+                return math.inf, math.nan
+            gain, curvature = r * mq / rate, r * mq2 / mq
         log_h, dlog_slope = _log_hazard(alpha, num_users)
-        gain = r * mq / rate
         # f' = (log -Pr')' - Pr'/Pr - I''/I' + I'/I.
-        df = dlog_slope + math.exp(log_h) + r * mq2 / mq + gain
+        df = dlog_slope + math.exp(log_h) + curvature + gain
         f = log_h - math.log(gain)
         return f, alpha * math.expm1(-f / (alpha * df)) if df > 0.0 else math.nan
 

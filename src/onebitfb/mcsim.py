@@ -1,15 +1,21 @@
 """Monte-Carlo simulator of the threshold-feedback scheduling protocol.
 
 Per fading block each of K users feeds back whether its estimation-time power
-v^2 = |h|^2 is at least alpha; the base station picks uniformly among the N
+g = |h|^2 is at least alpha; the base station picks uniformly among the N
 "1" users (among all K when N = 0), assigns the mode-dependent power, and
-records the rate or outage against the transmission-time envelope v_tau.
+records the rate or outage against the transmission-time power g_tau.
 
-Per block it draws only what the protocol reads: K exponential gains, one
-uniform for the pick and, unless |rho| = 1, two normals for the chosen user's
-v_tau.  As the oracle for every closed form it stays a literal simulation: N
-is counted from the K gains, never drawn as Binomial(K, e^-alpha) with
-v^2 = alpha + Exp(1), which would repeat the closed forms' own derivation.
+Per block it draws only what the protocol reads: K uniforms U, one per user,
+one uniform for the pick and, unless |rho| = 1, two normals for the chosen
+user's g_tau.  Each gain is its own inverse-CDF draw g = -log(1 - U): 1 - U
+lies in (0, 1] and is exact on the generator's 2^-53 grid, so g <= 53 log 2
+= 36.74, which cuts off a tail of mass near 1e-16 (every block is silent at
+alpha past 36.74).  A user's bit is read from U by an exact cut (``_cut``),
+the least grid point whose computed gain is >= alpha, and -log is taken only
+for the scheduled user of each block.  As the oracle for every closed form
+it stays a literal simulation: N is counted from the K per-user draws, never
+drawn as Binomial(K, e^-alpha) with g = alpha + Exp(1), which would repeat
+the closed forms' own derivation.
 
 Blocks are i.i.d.; trials are partitioned into fixed-size chunks, each driven
 by a generator seeded from (seed, chunk index), so results are bit-identical
@@ -35,7 +41,8 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
-_PANEL = 1 << 16  # exponentials per panel of _draw_blocks
+_PANEL = 1 << 16  # uniforms per panel of _draw_blocks
+_GRID = 2.0**-53  # spacing of Generator.random's doubles
 
 
 @dataclass(frozen=True)
@@ -52,8 +59,8 @@ class SimConfig:
     def __post_init__(self):
         check_count("num_users", self.num_users)
         check_count("n_blocks", self.n_blocks)
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError("seed must be an integer >= 0")
         if self.rate_nats is not None:
             check_positive("rate_nats", self.rate_nats)
         check_nonnegative("threshold", self.threshold)
@@ -71,46 +78,71 @@ def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
     return np.random.default_rng([seed, chunk_idx])
 
 
-def _draw_blocks(rng, rho: float, n: int, k: int, alpha: float):
-    """The scheduled user's envelopes (v, v_tau) and N, the count of "1" bits, per block.
+def _cut(alpha: float) -> float:
+    """The least U on the 2^-53 grid with -log(1 - U) >= alpha as computed, or 1.0 if none.
 
-    Draws K gains |h|^2 ~ Exp(1) per block, then one uniform per block, then,
-    unless |rho| = 1, two normals per block, in that order.  The pick is the
-    floor(u M)-th of the M candidates: the N users with v^2 >= alpha, or all
-    K when N = 0.  The phase of h is independent of |h| and w is circular,
-    so |h_tau| = |rho h + s w| has the law of |(|rho| v + s w1) + j s w2|,
-    with w1, w2 ~ N(0, 1/2); at |rho| = 1 that is v itself.
-
-    The gains are drawn in panels of _PANEL (whole blocks, at least one) into
-    one reused buffer.  The generator fills sequentially, so the stream is
-    that of one (n, K) draw.  Of each panel only what the pick reads is kept:
-    the "1" users' gains, and all K gains of each block with N = 0.
+    Starts from 1 - e^-alpha on the grid and steps to the first grid point
+    whose computed gain reaches alpha, so that U >= cut is the bit the gain
+    itself gives at every point: -log(1 - U) rises with U.
     """
+    j = math.floor(-math.expm1(-alpha) / _GRID)
+
+    def reaches(i: int) -> bool:
+        return -np.log(np.array([1.0 - i * _GRID]))[0] >= alpha
+
+    with np.errstate(divide="ignore"):  # at j = 2^53 the gain is -log 0 = inf
+        while j > 0 and reaches(j - 1):
+            j -= 1
+        while not reaches(j):
+            j += 1
+    return j * _GRID
+
+
+def _draw_blocks(rng, rho: float, n: int, k: int, alpha: float):
+    """The scheduled user's powers (g, g_tau) and N, the count of "1" bits, per block.
+
+    Draws K uniforms U per block, then one uniform per block, then, unless
+    |rho| = 1, two normals per block, in that order.  A user's gain is
+    g = -log(1 - U) and its bit is U >= _cut(alpha).  The pick is the
+    floor(u M)-th of the M candidates: the N "1" users, or all K when
+    N = 0.  The phase of h is independent of |h| and w is circular, so
+    |h_tau|^2 = |rho h + w'|^2, with w' ~ CN(0, 1 - rho^2), has the law of
+    g_tau = (|rho| sqrt(g) + s w1)^2 + (s w2)^2 with w1, w2 ~ N(0, 1) and
+    s = sqrt((1 - rho^2)/2); at |rho| = 1 that is g itself.
+
+    The uniforms are drawn in panels of _PANEL (whole blocks, at least one)
+    into one reused buffer.  The generator fills sequentially, so the stream
+    is that of one (n, K) draw.  Of each panel only what the pick reads is
+    kept: the "1" users' uniforms, and all K of each block with N = 0.
+    """
+    cut = _cut(alpha)
     rows = max(1, _PANEL // k)
     buf = np.empty((min(rows, n), k))
     n_above = np.empty(n, dtype=np.int64)
-    ones, silent = [], []  # per panel: the "1" users' gains, and the rows of its N = 0 blocks
+    ones, silent = [], []  # per panel: the "1" users' uniforms, and the rows of its N = 0 blocks
     for start in range(0, n, rows):
-        g = rng.standard_exponential(out=buf[:n - start])
-        idx = np.flatnonzero(g >= alpha)
-        counts = np.bincount(idx // k, minlength=len(g))
-        n_above[start:start + len(g)] = counts
-        ones.append(np.take(g, idx))
-        silent.append(g[counts == 0])
+        u = rng.random(out=buf[:n - start])
+        idx = np.flatnonzero(u >= cut)
+        counts = np.bincount(idx // k, minlength=len(u))
+        n_above[start:start + len(u)] = counts
+        ones.append(np.take(u, idx))
+        silent.append(u.compress(counts == 0, axis=0))
     tx = n_above > 0
     m = np.where(tx, n_above, k)
     target = np.minimum((rng.random(n) * m).astype(np.int64), m - 1)
-    # The candidates: every "1" gain in block order, then each silent block's K gains.
+    # The candidates: every "1" uniform in block order, then each silent block's K uniforms.
     cum = np.cumsum(n_above)
     first = cum - n_above
     silent_blocks = np.flatnonzero(~tx)
     first[silent_blocks] = cum[-1] + k * np.arange(silent_blocks.size)
-    v = np.sqrt(np.concatenate(ones + silent, axis=None)[first + target])
-    if abs(rho) == 1.0:  # s = 0: hypot(v + 0 w1, 0 w2) is v, bit for bit
-        return v, v, n_above
-    s = math.sqrt(1.0 - rho * rho)
-    w = rng.standard_normal((2, n)) * math.sqrt(0.5)
-    return v, np.hypot(abs(rho) * v + s * w[0], s * w[1]), n_above
+    g = -np.log(1.0 - np.concatenate(ones + silent, axis=None)[first + target])
+    if abs(rho) == 1.0:  # s = 0: g_tau is g
+        return g, g, n_above
+    s = math.sqrt(0.5 * (1.0 - rho * rho))
+    w = rng.standard_normal((2, n))
+    a = abs(rho) * np.sqrt(g) + s * w[0]
+    b = s * w[1]
+    return g, a * a + b * b, n_above
 
 
 def _aggregate(cfg: SimConfig, per_block) -> list[McEstimate]:
@@ -130,8 +162,8 @@ def simulate_ergodic_rate(cfg: SimConfig) -> McEstimate:
     """Mean per-block rate (nats) under the ergodic convention P1 = P, P0 = 0."""
 
     def per_block(rng, n):
-        _, v_tau, n_above = _draw_blocks(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold)
-        return np.where(n_above > 0, np.log1p(v_tau**2 * cfg.power), 0.0)  # 0: silent block
+        _, g_tau, n_above = _draw_blocks(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold)
+        return np.where(n_above > 0, np.log1p(g_tau * cfg.power), 0.0)  # 0: silent block
 
     return _aggregate(cfg, per_block)[0]
 
@@ -140,15 +172,20 @@ def _outage_and_power(cfg: SimConfig) -> tuple[McEstimate | None, McEstimate]:
     """Outage frequency (None without ``rate_nats``) and mean transmit power, in one pass."""
     mode = cfg.mode or PowerMode.short_term()
     p1, p0 = mode.resolve(cfg.power, cfg.threshold, cfg.num_users)
+    if cfg.rate_nats is not None:
+        # A block with power P is in outage where log(1 + g_tau P) < R, that is g_tau < (e^R - 1)/P.
+        try:
+            c = math.expm1(cfg.rate_nats)
+        except OverflowError:  # e^R - 1 past the float range: every block counts as an outage
+            c = math.inf
+        x1, x0 = (c / p if p > 0.0 else math.inf for p in (p1, p0))
 
     def per_block(rng, n):
-        _, v_tau, n_above = _draw_blocks(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold)
+        _, g_tau, n_above = _draw_blocks(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold)
         tx = n_above > 0
         rows = [tx]
         if cfg.rate_nats is not None:
-            with np.errstate(over="ignore"):  # a gain times P past 1.8e308 is no outage
-                achieved = np.log1p(v_tau**2 * np.where(tx, p1, p0))
-            rows.append(achieved < cfg.rate_nats)
+            rows.append(g_tau < np.where(tx, x1, x0))
         return rows
 
     # Each block sends P1 or P0: the mean power is P0 + (P1 - P0) f, f the fraction with N > 0,

@@ -126,20 +126,20 @@ class TestDensities:
 
 
 class TestSampling:
-    """The envelope-pair sampler behind every Monte-Carlo estimate."""
+    """The power-pair sampler behind every Monte-Carlo estimate."""
 
     def test_moments(self):
         # alpha = 0: every user sends a "1", so the scheduled user is uniform over all K
         rng = np.random.default_rng(7)
-        v, v_tau, _ = _draw_blocks(rng, 0.9, 400_000, 4, 0.0)
-        assert np.all(v >= 0) and np.all(v_tau >= 0)
-        # squared envelopes are unit exponentials with corr(v^2, v_tau^2) = rho^2
-        assert np.mean(v * v) == pytest.approx(1.0, abs=0.01)
-        assert np.mean(v_tau * v_tau) == pytest.approx(1.0, abs=0.01)
-        corr = np.corrcoef(v * v, v_tau * v_tau)[0, 1]
+        g, g_tau, _ = _draw_blocks(rng, 0.9, 400_000, 4, 0.0)
+        assert np.all(g >= 0) and np.all(g_tau >= 0)
+        # the squared envelopes are unit exponentials with corr(g, g_tau) = rho^2
+        assert np.mean(g) == pytest.approx(1.0, abs=0.01)
+        assert np.mean(g_tau) == pytest.approx(1.0, abs=0.01)
+        corr = np.corrcoef(g, g_tau)[0, 1]
         assert corr == pytest.approx(0.81, abs=0.01)
 
     def test_instantaneous_pairs_identical(self):
         rng = np.random.default_rng(1)
-        v, v_tau, _ = _draw_blocks(rng, 1.0, 100, 4, 0.0)
-        np.testing.assert_allclose(v, v_tau, rtol=1e-12)
+        g, g_tau, _ = _draw_blocks(rng, 1.0, 100, 4, 0.0)
+        np.testing.assert_allclose(g, g_tau, rtol=1e-12)

@@ -504,6 +504,18 @@ class TestNewtonSearches:
         assert max(search) == 6
         assert max(inversion) == 7
 
+    # The P -> 0 optimum solves -Pr'/Pr = r / (1 + alpha r); the roots are
+    # 40-digit mpmath bisections of that equation.
+    @pytest.mark.parametrize("k,rho,power,want", [
+        (4, 1.0, 5e-324, 1.076729887243410558),
+        (10**6, 1e-8, 1e-320, 10.113148852988066968),
+        (2, 1.0, 1e-323, 0.60349782108132835221),
+    ])
+    def test_subnormal_power_takes_the_small_power_limit(self, monkeypatch, k, rho, power, want):
+        passes = count_passes(monkeypatch)
+        assert optimal_threshold(k, power, CorrelationParams(rho)) == pytest.approx(want, rel=1e-12)
+        assert not passes
+
     def test_step_limit_raises(self, monkeypatch, capsys):
         monkeypatch.setattr(ergodic, "_MAX_STEPS", 2)
         c = CorrelationParams(0.9)

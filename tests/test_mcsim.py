@@ -9,9 +9,11 @@ from onebitfb.channel import CorrelationParams
 from onebitfb.ergodic import ErgodicConfig, full_csi_rate, no_csi_rate, sum_rate
 from onebitfb.mcsim import (
     _CHUNK,
+    _GRID,
     SimConfig,
     _aggregate,
     _chunk_rng,
+    _cut,
     _draw_blocks,
     _outage_and_power,
     simulate_avg_power,
@@ -64,25 +66,27 @@ class TestDeterminism:
         rates = []
         for idx, n in enumerate((_CHUNK, cfg.n_blocks - _CHUNK)):
             rng = _chunk_rng(cfg.seed, idx)
-            _, v_tau, n_above = _draw_blocks(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold)
-            rate = np.log1p(v_tau**2 * cfg.power)
+            _, g_tau, n_above = _draw_blocks(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold)
+            rate = np.log1p(g_tau * cfg.power)
             rates.append(np.where(n_above > 0, rate, 0.0))
         mean = float(np.concatenate(rates).mean())
         assert mean == pytest.approx(simulate_ergodic_rate(cfg).mean, rel=1e-12)
 
 
 def _one_shot(rng, rho, n, k, alpha):
-    """The sampler with all n x K gains in one array: the stream the panels must reproduce."""
-    g = rng.standard_exponential((n, k))
-    qualified = g >= alpha
+    """The sampler with all n x K uniforms in one array: the stream the panels must reproduce."""
+    u = rng.random((n, k))
+    qualified = u >= _cut(alpha)
     n_above = qualified.sum(axis=1)
     m = np.where(n_above > 0, n_above, k)
     target = np.minimum((rng.random(n) * m).astype(np.int64), m - 1)
     candidates = np.flatnonzero(qualified | (n_above == 0)[:, None])
-    v = np.sqrt(g.ravel()[candidates[np.cumsum(m) - m + target]])
-    s = math.sqrt(max(0.0, 1.0 - rho * rho))
-    w = rng.standard_normal((2, n)) * math.sqrt(0.5)
-    return v, np.hypot(abs(rho) * v + s * w[0], s * w[1]), n_above
+    g = -np.log(1.0 - u.ravel()[candidates[np.cumsum(m) - m + target]])
+    if abs(rho) == 1.0:
+        return g, g, n_above
+    s = math.sqrt(0.5 * (1.0 - rho * rho))
+    w = rng.standard_normal((2, n))
+    return g, (abs(rho) * np.sqrt(g) + s * w[0]) ** 2 + (s * w[1]) ** 2, n_above
 
 
 class TestPanels:
@@ -98,6 +102,16 @@ class TestPanels:
             for x, y in zip(got, want):
                 assert x.dtype == y.dtype
                 np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-300, 1.0, 3.5, 36.0, 36.7, 37.0, 50.0])
+    def test_cut_is_the_gains_own_bit(self, alpha):
+        # Over 2e4 grid points of U around the cut, U >= cut is the bit of the gain
+        # -log(1 - U) itself; past 53 log 2 = 36.74 no grid point qualifies.
+        cut = _cut(alpha)
+        j = round(cut / _GRID)
+        u = np.arange(max(0, j - 10**4), min(2**53, j + 10**4 + 1)) * _GRID
+        np.testing.assert_array_equal(u >= cut, -np.log(1.0 - u) >= alpha)
+        assert (cut == 1.0) == (alpha > 53 * math.log(2.0))
 
     def test_chunk_memory_is_bounded(self):
         # The (2^16, 256) gains of one chunk alone take 128 MiB.
@@ -180,8 +194,8 @@ class TestPowerAccounting:
         assert est.mean == 10.0 and est.stderr == 0.0
 
     def test_powers_near_float_max(self):
-        # 1000 blocks of 1e308 overflow a plain sum; each gain times 1e308
-        # overflows too, and the rate it stands for is no outage.
+        # 1000 blocks of 1e308 overflow a plain sum; a block is in outage only
+        # where its gain is below (e - 1)/1e308.
         cfg = _cfg(mode=PowerMode.explicit(1e308, 1e308), rate_nats=1.0, n_blocks=1000)
         assert simulate_avg_power(cfg).mean == pytest.approx(1e308, rel=1e-15)
         assert simulate_outage(cfg).mean < 0.01
@@ -191,6 +205,11 @@ class TestPowerAccounting:
         mean = simulate_avg_power(cfg).mean
         assert math.isfinite(mean)
         assert mean == pytest.approx(1.7e308 * (n_above > 0).mean(), rel=1e-15)
+
+    def test_rate_past_the_float_range_is_certain_outage(self):
+        # e^800 - 1 overflows; log(1 + g 1e308) stays below 800 unless g passes 1e39.
+        cfg = _cfg(mode=PowerMode.explicit(1e308, 1e308), rate_nats=800.0, n_blocks=1000)
+        assert simulate_outage(cfg).mean == 1.0
 
     def test_long_term_p0_far_above_p1(self):
         # K = 16 at 13 dB: Pr(N = 0) ~ 5e-17 puts P0 near 2e17 against P1 near 10, and no
@@ -218,12 +237,12 @@ class TestBlockRecords:
         cfg = _cfg(
             n_blocks=500, rate_nats=1.5, mode=PowerMode.explicit(8.0, 2.0)
         )
-        _, v_tau, n_above = _draw_blocks(
+        _, g_tau, n_above = _draw_blocks(
             _chunk_rng(cfg.seed, 0), cfg.corr.rho, 500, 4, cfg.threshold
         )
         assert np.all((n_above >= 0) & (n_above <= 4))
         tx_power = np.where(n_above > 0, 8.0, 2.0)
-        achieved = np.log1p(v_tau**2 * tx_power)
+        achieved = np.log1p(g_tau * tx_power)
         outage = (achieved < 1.5).astype(float)
         assert simulate_outage(cfg).mean == pytest.approx(outage.mean(), rel=1e-12)
         assert simulate_avg_power(cfg).mean == pytest.approx(tx_power.mean(), rel=1e-12)
@@ -236,13 +255,13 @@ class TestBlockRecords:
         assert power == simulate_avg_power(_cfg(n_blocks=70_000, mode=mode))
 
     def test_qualified_selection(self):
-        v, _, n_above = _draw_blocks(np.random.default_rng(3), 0.9, 2000, 4, 1.0)
-        gains = np.random.default_rng(3).standard_exponential((2000, 4))  # drawn first
+        g, _, n_above = _draw_blocks(np.random.default_rng(3), 0.9, 2000, 4, 1.0)
+        gains = -np.log(1.0 - np.random.default_rng(3).random((2000, 4)))  # drawn first
         np.testing.assert_array_equal(n_above, (gains >= 1.0).sum(axis=1))
-        assert np.all(v[n_above > 0] ** 2 >= 1.0)
-        # the scheduled envelope is that of one of the block's own candidates
+        assert np.all(g[n_above > 0] >= 1.0)
+        # the scheduled gain is that of one of the block's own candidates
         qualified = (gains >= 1.0) | (n_above == 0)[:, None]
-        assert np.all(np.any((np.sqrt(gains) == v[:, None]) & qualified, axis=1))
+        assert np.all(np.any((gains == g[:, None]) & qualified, axis=1))
 
 
 class _CountingGenerator:
@@ -280,10 +299,10 @@ class TestSchedulingLaw:
 
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_scheduled_excess_is_unit_exponential(self, k):
-        # A qualified user's v^2 - alpha is Exp(1); a pick leaning toward the
+        # A qualified user's g - alpha is Exp(1); a pick leaning toward the
         # strongest user raises its mean and variance.
-        v, _, n_above = self._draw(k, seed=100 + k)
-        excess = v[n_above > 0] ** 2 - self.ALPHA
+        g, _, n_above = self._draw(k, seed=100 + k)
+        excess = g[n_above > 0] - self.ALPHA
         m = excess.size
         assert abs(excess.mean() - 1.0) <= 4 * math.sqrt(1.0 / m)
         # the sample variance of Exp(1) has variance (mu4 - 1) / m = 8 / m
@@ -291,17 +310,17 @@ class TestSchedulingLaw:
 
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_no_one_bits_schedules_a_user_below_threshold(self, k):
-        v, _, n_above = self._draw(k, seed=200 + k)
+        g, _, n_above = self._draw(k, seed=200 + k)
         assert np.any(n_above == 0)
-        assert np.all(v[n_above == 0] ** 2 < self.ALPHA)
+        assert np.all(g[n_above == 0] < self.ALPHA)
 
     @pytest.mark.parametrize("k", [4, 16])
     def test_pick_is_uniform_over_users(self, k):
         # By symmetry each user is scheduled in 1/K of the blocks; picking the
         # first or the strongest candidate would not be.
-        v, _, _ = self._draw(k, seed=300 + k)
-        gains = np.random.default_rng(300 + k).standard_exponential((self.BLOCKS, k))
-        users = np.argmax(np.sqrt(gains) == v[:, None], axis=1)
+        g, _, _ = self._draw(k, seed=300 + k)
+        gains = -np.log(1.0 - np.random.default_rng(300 + k).random((self.BLOCKS, k)))
+        users = np.argmax(gains == g[:, None], axis=1)
         share = np.bincount(users, minlength=k) / self.BLOCKS
         se = math.sqrt((1 / k) * (1 - 1 / k) / self.BLOCKS)
         assert np.all(np.abs(share - 1 / k) <= 4 * se)
@@ -310,12 +329,11 @@ class TestSchedulingLaw:
     def test_draws_per_block(self, k):
         rng = _CountingGenerator(np.random.default_rng(0))
         _draw_blocks(rng, 0.9, 1000, k, self.ALPHA)
-        assert rng.counts == {"standard_exponential": 1000 * k, "random": 1000,
-                              "standard_normal": 2000}
-        # At rho = 1, v_tau is v: no normals.
+        assert rng.counts == {"random": 1000 * (k + 1), "standard_normal": 2000}
+        # At rho = 1, g_tau is g: no normals.
         rng = _CountingGenerator(np.random.default_rng(0))
         _draw_blocks(rng, 1.0, 1000, k, self.ALPHA)
-        assert rng.counts == {"standard_exponential": 1000 * k, "random": 1000}
+        assert rng.counts == {"random": 1000 * (k + 1)}
 
 
 def reference_full_csi_rate(num_users: int, power: float, n_blocks: int, seed: int):
@@ -361,3 +379,10 @@ class TestValidation:
                 _cfg(power=bad)
             with pytest.raises(ValueError, match="rate_nats"):
                 _cfg(rate_nats=bad)
+
+    def test_seed_is_an_integer(self):
+        for bad in (1.5, math.nan, "3", None, -1, np.int64(-1)):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                _cfg(seed=bad)
+        for good in (0, np.int64(3), np.uint8(7), 2**70):
+            assert _cfg(seed=good).seed == good
