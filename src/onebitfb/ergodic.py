@@ -224,22 +224,20 @@ def optimal_threshold(num_users: int, power: float, corr: CorrelationParams) -> 
     r = corr.rho ** 2
     if num_users == 1 or r == 0.0:
         return 0.0
-    log_k = math.log(num_users)
+    log_k, log_r = math.log(num_users), 2.0 * math.log(abs(corr.rho))  # r may be subnormal
 
     def newton_step(alpha: float) -> tuple[float, float]:
         ErgodicConfig(num_users, power, corr, alpha)  # names an overflowing P (1 + alpha)
         if power * (1.0 + alpha * r) < 1e-290:  # the P -> 0 limit I = P (1 + alpha r), I'' = 0
-            gain, curvature = r / (1.0 + alpha * r), 0.0
+            log_gain, curvature = log_r - math.log1p(alpha * r), 0.0
         else:
             rate, (mq, mq2, _) = _log1p_mean(power, alpha * r, 1.0 - r, derivatives=True)
-            if not mq * r > 0.0:  # r I' underflows (rho^2 P tiny): the root is nearer 0
-                return math.inf, math.nan
-            gain, curvature = r * mq / rate, r * mq2 / mq
+            log_gain, curvature = log_r + math.log(mq / rate), r * mq2 / mq
         log_h, dlog_slope = _log_hazard(alpha, num_users)
         # f' = (log -Pr')' - Pr'/Pr - I''/I' + I'/I.
-        df = dlog_slope + math.exp(log_h) + curvature + gain
-        f = log_h - math.log(gain)
-        return f, alpha * math.expm1(-f / (alpha * df)) if df > 0.0 else math.nan
+        df = dlog_slope + math.exp(log_h) + curvature + math.exp(log_gain)
+        f = log_h - log_gain
+        return f, alpha * math.exp(-f / (alpha * df)) if df > 0.0 else math.nan
 
     return _newton(newton_step, max(log_k - 1.5, 0.3 * log_k), 0.0, log_k + 6.0,
                    "optimal_threshold")
@@ -248,30 +246,32 @@ def optimal_threshold(num_users: int, power: float, corr: CorrelationParams) -> 
 def _newton(step_at, x: float, lo: float, up: float, name: str, f_tol: float = 0.0) -> float:
     """The root of an increasing f in (lo, up), by safeguarded Newton steps from x.
 
-    ``step_at(x)`` returns f(x) and the Newton step there, or NaN where it
-    has none.  The sign of f keeps a bracket.  The first step past a finite
-    ``up`` goes onto it; any other step that would leave the bracket, or not
-    halve the step before last, is a bisection (4 toward the root while an
-    end of the bracket is infinite).
-    Returns x once |f(x)| is at most ``f_tol``, or the point after the step
-    once a step is at most 1e-12 or the bracket is 1e-12 wide.  Reaching
-    ``_MAX_STEPS`` raises ArithmeticError naming ``name``.
+    ``step_at(x)`` returns f(x) and the Newton point there, or NaN where it
+    has none: a point, not a step, since x plus a step of nearly -x would
+    lose a point far below x to rounding.  The sign of f keeps a bracket.
+    The first point past a finite ``up`` is ``up`` itself; any other point
+    outside the bracket, or a step that does not halve the step before
+    last, gives way to a bisection (4 toward the root while an end of the
+    bracket is infinite).
+    Returns x once |f(x)| is at most ``f_tol``, or the next point once it is
+    within 1e-12 of x or the bracket is 1e-12 wide.  Reaching ``_MAX_STEPS``
+    raises ArithmeticError naming ``name``.
     """
     last, before, top = math.inf, math.inf, up  # top: the upper end, until a step lands on it
     for _ in range(_MAX_STEPS):
-        f, step = step_at(x)
+        f, point = step_at(x)
         if abs(f) <= f_tol:
             return x
-        if abs(step) <= 1e-12:
-            return x + step
+        if abs(point - x) <= 1e-12:
+            return point
         lo, up = (x, up) if f < 0.0 else (lo, x)
-        if lo < up == top <= x + step:
-            step, top = up - x, math.inf
-        elif not (lo < x + step < up and abs(step) < 0.5 * abs(before)):
-            step = 0.5 * (lo + up) - x if up - lo < math.inf else math.copysign(4.0, -f)
+        if lo < up == top <= point:
+            point, top = up, math.inf
+        elif not (lo < point < up and abs(point - x) < 0.5 * abs(before)):
+            point = 0.5 * (lo + up) if up - lo < math.inf else x + math.copysign(4.0, -f)
             if up - lo <= 1e-12:
-                return x + step
-        x, last, before = x + step, step, last
+                return point
+        x, last, before = point, point - x, last
     raise ArithmeticError(f"{name}: no convergence in {_MAX_STEPS} Newton steps")
 
 
@@ -357,7 +357,7 @@ def rate_at_ebn0(
                                 " underflows to 0")
         miss = ebn0_db_from_power(prob * rate, power) - ebn0_db
         slope = _DB_PER_NEPER * (1.0 - dpower / rate)
-        return miss, -miss / slope if slope > 0.0 else math.nan
+        return miss, log_power - miss / slope if slope > 0.0 else math.nan
 
     start = (ebn0_db - wb.ebn0_min_db) / _DB_PER_NEPER * wb.ebn0_min_linear * wb.slope_s0 / _LOG2
     log_cap = _LOG_FLOAT_MAX - math.log1p(alpha) - 1e-12  # a margin for exp's roundoff

@@ -19,7 +19,9 @@ the closed forms' own derivation.
 
 Blocks are i.i.d.; trials are partitioned into fixed-size chunks, each driven
 by a generator seeded from (seed, chunk index), so results are bit-identical
-for a given config regardless of execution order.
+for a given config regardless of execution order.  Within a chunk, panels of
+whole blocks, about _PANEL uniforms each, are drawn, resolved and summed one
+at a time, so a chunk holds one panel whatever K or alpha.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
-_PANEL = 1 << 16  # uniforms per panel of _draw_blocks
+_PANEL = 1 << 16  # user uniforms per panel of _draw_blocks: with _CHUNK, it defines the stream
 _GRID = 2.0**-53  # spacing of Generator.random's doubles
 
 
@@ -99,60 +101,55 @@ def _cut(alpha: float) -> float:
 
 
 def _draw_blocks(rng, rho: float, n: int, k: int, alpha: float):
-    """The scheduled user's powers (g, g_tau) and N, the count of "1" bits, per block.
+    """Per panel of blocks, the scheduled user's powers (g, g_tau) and N, the count of "1" bits.
 
-    Draws K uniforms U per block, then one uniform per block, then, unless
-    |rho| = 1, two normals per block, in that order.  A user's gain is
-    g = -log(1 - U) and its bit is U >= _cut(alpha).  The pick is the
-    floor(u M)-th of the M candidates: the N "1" users, or all K when
-    N = 0.  The phase of h is independent of |h| and w is circular, so
-    |h_tau|^2 = |rho h + w'|^2, with w' ~ CN(0, 1 - rho^2), has the law of
-    g_tau = (|rho| sqrt(g) + s w1)^2 + (s w2)^2 with w1, w2 ~ N(0, 1) and
-    s = sqrt((1 - rho^2)/2); at |rho| = 1 that is g itself.
-
-    The uniforms are drawn in panels of _PANEL (whole blocks, at least one)
-    into one reused buffer.  The generator fills sequentially, so the stream
-    is that of one (n, K) draw.  Of each panel only what the pick reads is
-    kept: the "1" users' uniforms, and all K of each block with N = 0.
+    A panel is max(1, _PANEL // K) whole blocks (the last of a chunk may be
+    shorter).  It draws one pick uniform per block, then K uniforms U per
+    block into one reused buffer, then, unless |rho| = 1, two normals per
+    block, in that order, and is yielded before the next panel is drawn.
+    A user's gain is g = -log(1 - U) and its bit is U >= _cut(alpha).  The
+    pick is the floor(u M)-th of the M candidates: the N "1" users, or all
+    K when N = 0.  The phase of h is independent of |h| and w is circular,
+    so |h_tau|^2 = |rho h + w'|^2, with w' ~ CN(0, 1 - rho^2), has the law
+    of g_tau = (|rho| sqrt(g) + s w1)^2 + (s w2)^2 with w1, w2 ~ N(0, 1)
+    and s = sqrt((1 - rho^2)/2); at |rho| = 1 that is g itself.
     """
     cut = _cut(alpha)
     rows = max(1, _PANEL // k)
     buf = np.empty((min(rows, n), k))
-    n_above = np.empty(n, dtype=np.int64)
-    ones, silent = [], []  # per panel: the "1" users' uniforms, and the rows of its N = 0 blocks
-    for start in range(0, n, rows):
-        u = rng.random(out=buf[:n - start])
-        idx = np.flatnonzero(u >= cut)
-        counts = np.bincount(idx // k, minlength=len(u))
-        n_above[start:start + len(u)] = counts
-        ones.append(np.take(u, idx))
-        silent.append(u.compress(counts == 0, axis=0))
-    tx = n_above > 0
-    m = np.where(tx, n_above, k)
-    target = np.minimum((rng.random(n) * m).astype(np.int64), m - 1)
-    # The candidates: every "1" uniform in block order, then each silent block's K uniforms.
-    cum = np.cumsum(n_above)
-    first = cum - n_above
-    silent_blocks = np.flatnonzero(~tx)
-    first[silent_blocks] = cum[-1] + k * np.arange(silent_blocks.size)
-    g = -np.log(1.0 - np.concatenate(ones + silent, axis=None)[first + target])
-    if abs(rho) == 1.0:  # s = 0: g_tau is g
-        return g, g, n_above
     s = math.sqrt(0.5 * (1.0 - rho * rho))
-    w = rng.standard_normal((2, n))
-    a = abs(rho) * np.sqrt(g) + s * w[0]
-    b = s * w[1]
-    return g, a * a + b * b, n_above
+    for start in range(0, n, rows):
+        pick = rng.random(min(rows, n - start))
+        u = rng.random(out=buf[:pick.size])
+        ones = np.flatnonzero(u >= cut)  # the "1" users, in block order
+        n_above = np.bincount(ones // k, minlength=pick.size)
+        tx = n_above > 0
+        m = np.where(tx, n_above, k)
+        t = np.minimum((pick * m).astype(np.int64), m - 1)
+        # A block with N > 0 takes its t-th "1", a silent block its t-th user: the clipped
+        # index of a silent block is discarded, and ones is empty only if all are silent.
+        first = np.cumsum(n_above) - n_above
+        nth_one = ones.take(first + t, mode="clip") if ones.size else t
+        g = -np.log(1.0 - np.take(u, np.where(tx, nth_one, np.arange(0, u.size, k) + t)))
+        if abs(rho) == 1.0:  # s = 0: g_tau is g
+            yield g, g, n_above
+            continue
+        w = rng.standard_normal((2, pick.size))
+        w *= s  # in place: (a, b) = (|rho| sqrt(g) + s w1, s w2), then squared
+        w[0] += abs(rho) * np.sqrt(g)
+        w *= w
+        yield g, w[0] + w[1], n_above
 
 
-def _aggregate(cfg: SimConfig, per_block) -> list[McEstimate]:
-    """Stream chunks through ``per_block`` and reduce each row it returns to an McEstimate."""
+def _aggregate(cfg: SimConfig, per_chunk) -> list[McEstimate]:
+    """Stream chunks through ``per_chunk`` and sum the rows it yields per panel to McEstimates."""
     total = total_sq = 0.0
     for chunk_idx, start in enumerate(range(0, cfg.n_blocks, _CHUNK)):
         rng = _chunk_rng(cfg.seed, chunk_idx)
-        x = np.array(per_block(rng, min(_CHUNK, cfg.n_blocks - start)), dtype=float, ndmin=2)
-        total += x.sum(axis=1)
-        total_sq += (x * x).sum(axis=1)
+        for rows in per_chunk(rng, min(_CHUNK, cfg.n_blocks - start)):
+            x = np.array(rows, dtype=float, ndmin=2)
+            total += x.sum(axis=1)
+            total_sq += (x * x).sum(axis=1)
     mean = total / cfg.n_blocks
     stderr = np.sqrt(np.maximum(total_sq / cfg.n_blocks - mean * mean, 0.0) / cfg.n_blocks)
     return [McEstimate(float(m), float(se), cfg.n_blocks) for m, se in zip(mean, stderr)]
@@ -161,11 +158,11 @@ def _aggregate(cfg: SimConfig, per_block) -> list[McEstimate]:
 def simulate_ergodic_rate(cfg: SimConfig) -> McEstimate:
     """Mean per-block rate (nats) under the ergodic convention P1 = P, P0 = 0."""
 
-    def per_block(rng, n):
-        _, g_tau, n_above = _draw_blocks(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold)
-        return np.where(n_above > 0, np.log1p(g_tau * cfg.power), 0.0)  # 0: silent block
+    def per_chunk(rng, n):
+        for _, g_tau, n_above in _draw_blocks(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold):
+            yield np.where(n_above > 0, np.log1p(g_tau * cfg.power), 0.0)  # 0: silent block
 
-    return _aggregate(cfg, per_block)[0]
+    return _aggregate(cfg, per_chunk)[0]
 
 
 def _outage_and_power(cfg: SimConfig) -> tuple[McEstimate | None, McEstimate]:
@@ -180,17 +177,14 @@ def _outage_and_power(cfg: SimConfig) -> tuple[McEstimate | None, McEstimate]:
             c = math.inf
         x1, x0 = (c / p if p > 0.0 else math.inf for p in (p1, p0))
 
-    def per_block(rng, n):
-        _, g_tau, n_above = _draw_blocks(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold)
-        tx = n_above > 0
-        rows = [tx]
-        if cfg.rate_nats is not None:
-            rows.append(g_tau < np.where(tx, x1, x0))
-        return rows
+    def per_chunk(rng, n):
+        for _, g_tau, n_above in _draw_blocks(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold):
+            tx = n_above > 0
+            yield [tx] if cfg.rate_nats is None else [tx, g_tau < np.where(tx, x1, x0)]
 
     # Each block sends P1 or P0: the mean power is P0 + (P1 - P0) f, f the fraction with N > 0,
     # stepped from the nearer end so that P0 >> P1 at f near 1 does not cancel (1 - f is exact).
-    frac, *outage = _aggregate(cfg, per_block)
+    frac, *outage = _aggregate(cfg, per_chunk)
     f = frac.mean
     mean = p0 + (p1 - p0) * f if f <= 0.5 else p1 - (p1 - p0) * (1.0 - f)
     power = McEstimate(mean, abs(p1 - p0) * frac.stderr, frac.n)

@@ -131,7 +131,7 @@ class TestSampling:
     def test_moments(self):
         # alpha = 0: every user sends a "1", so the scheduled user is uniform over all K
         rng = np.random.default_rng(7)
-        g, g_tau, _ = _draw_blocks(rng, 0.9, 400_000, 4, 0.0)
+        g, g_tau, _ = (np.concatenate(x) for x in zip(*_draw_blocks(rng, 0.9, 400_000, 4, 0.0)))
         assert np.all(g >= 0) and np.all(g_tau >= 0)
         # the squared envelopes are unit exponentials with corr(g, g_tau) = rho^2
         assert np.mean(g) == pytest.approx(1.0, abs=0.01)
@@ -141,5 +141,5 @@ class TestSampling:
 
     def test_instantaneous_pairs_identical(self):
         rng = np.random.default_rng(1)
-        g, g_tau, _ = _draw_blocks(rng, 1.0, 100, 4, 0.0)
+        [(g, g_tau, _)] = _draw_blocks(rng, 1.0, 100, 4, 0.0)  # one panel
         np.testing.assert_allclose(g, g_tau, rtol=1e-12)

@@ -516,6 +516,21 @@ class TestNewtonSearches:
         assert optimal_threshold(k, power, CorrelationParams(rho)) == pytest.approx(want, rel=1e-12)
         assert not passes
 
+    # At tiny rho the root of log h = log(r I'/I) lies near (r I'/(4 I))^(1/3), far below
+    # the first point, where x plus an additive step of nearly -x would round to 0.  The
+    # roots are 40-digit mpmath findroot solutions of that equation, with I and I' by
+    # mpmath.quad at r = rho^2 exactly (rho^2 = 1e-320 is subnormal as a double).
+    @pytest.mark.parametrize("rho,power,want", [
+        (1e-100, 1.0, 1.1916521482210276666e-67),
+        (1e-100, 1e10, 4.811162450953474207e-68),
+        (1e-160, 1.0, 1.1916521482210276417e-107),
+        (1e-160, 1e10, 4.8111624509534741064e-108),
+    ])
+    def test_tiny_rho_keeps_the_root(self, monkeypatch, rho, power, want):
+        passes = count_passes(monkeypatch)
+        assert optimal_threshold(4, power, CorrelationParams(rho)) == pytest.approx(want, rel=1e-9)
+        assert len(passes) <= 7
+
     def test_step_limit_raises(self, monkeypatch, capsys):
         monkeypatch.setattr(ergodic, "_MAX_STEPS", 2)
         c = CorrelationParams(0.9)

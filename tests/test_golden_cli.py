@@ -10,13 +10,18 @@ harness; regenerate them only for an intended output change, with
 which prints each golden file it added, removed or changed.
 """
 
+import csv
+import math
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from onebitfb.channel import CorrelationParams
 from onebitfb.cli import main
+from onebitfb.ergodic import ErgodicConfig, prob_some_above, sum_rate
+from onebitfb.outage import OutageConfig, PowerMode, outage_outdated
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -76,6 +81,50 @@ def test_output_is_byte_identical(case, tmp_path):
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name] == want[name], f"{case}: {name} differs from the golden file"
+
+
+# What each simulate_* golden estimates: None for the rate, else the outage rate (nats)
+# and power mode of its command, for the outage and the mean power.
+SIM_FORMS = {
+    "simulate_rate": None,
+    "simulate_rate_rho_sweep": None,
+    "simulate_outage_long_term": (math.log(2.0), PowerMode.long_term()),
+    "simulate_outage_explicit": (math.log(2.0), PowerMode.explicit(10.0, 40.0)),
+}
+K_SIGMA = 6.0  # as perfbench's mc_oracle: a correct simulator fails a cell with chance 2e-9
+
+
+def _within(mean: str, want: float, sigma: float) -> bool:
+    return abs(float(mean) - want) <= K_SIGMA * sigma
+
+
+@pytest.mark.parametrize("case", sorted(SIM_FORMS))
+def test_simulate_golden_is_near_its_closed_form(case):
+    # Each Monte-Carlo row lies within K_SIGMA standard errors of the closed form; the
+    # outage and power errors are binomial, from the closed-form probabilities.
+    form = SIM_FORMS[case]
+    assert ("--rate-bits 1" in COMMANDS[case]) == (form is not None)
+    with open(GOLDEN / case / "out.csv") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert rows
+    for row in rows:
+        k, n, alpha = int(row["k"]), int(row["n_blocks"]), float(row["alpha"])
+        power, corr = 10.0 ** (float(row["snr_db"]) / 10.0), CorrelationParams(float(row["rho"]))
+        if form is None:
+            want = sum_rate(ErgodicConfig(k, power, corr, alpha))
+            assert _within(row["rate_nats_mean"], want, float(row["rate_stderr"]))
+            continue
+        rate, mode = form
+        eps = outage_outdated(OutageConfig(k, power, corr, rate, alpha, mode)).eps
+        assert _within(row["eps_mean"], eps, math.sqrt(eps * (1.0 - eps) / n))
+        p1, p0 = mode.resolve(power, alpha, k)
+        f = prob_some_above(alpha, k)
+        sigma = abs(p1 - p0) * math.sqrt(f * (1.0 - f) / n)
+        assert _within(row["avg_power"], f * p1 + (1.0 - f) * p0, sigma)
+
+
+def test_every_simulate_golden_is_checked():
+    assert sorted(SIM_FORMS) == sorted(case for case in COMMANDS if case.startswith("simulate"))
 
 
 def regenerate(golden: Path = GOLDEN) -> None:

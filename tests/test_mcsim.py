@@ -10,6 +10,7 @@ from onebitfb.ergodic import ErgodicConfig, full_csi_rate, no_csi_rate, sum_rate
 from onebitfb.mcsim import (
     _CHUNK,
     _GRID,
+    _PANEL,
     SimConfig,
     _aggregate,
     _chunk_rng,
@@ -66,27 +67,47 @@ class TestDeterminism:
         rates = []
         for idx, n in enumerate((_CHUNK, cfg.n_blocks - _CHUNK)):
             rng = _chunk_rng(cfg.seed, idx)
-            _, g_tau, n_above = _draw_blocks(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold)
+            _, g_tau, n_above = _draw(rng, cfg.corr.rho, n, cfg.num_users, cfg.threshold)
             rate = np.log1p(g_tau * cfg.power)
             rates.append(np.where(n_above > 0, rate, 0.0))
         mean = float(np.concatenate(rates).mean())
         assert mean == pytest.approx(simulate_ergodic_rate(cfg).mean, rel=1e-12)
 
 
+def _draw(rng, rho, n, k, alpha):
+    """_draw_blocks' panels joined into one (g, g_tau, N) over the n blocks."""
+    return [np.concatenate(x) for x in zip(*_draw_blocks(rng, rho, n, k, alpha))]
+
+
 def _one_shot(rng, rho, n, k, alpha):
-    """The sampler with all n x K uniforms in one array: the stream the panels must reproduce."""
-    u = rng.random((n, k))
-    qualified = u >= _cut(alpha)
+    """One panel of n blocks drawn as whole arrays: n picks, then n x K users, then 2n normals.
+
+    Returns (g, g_tau, N) and every user's gain.
+    """
+    pick = rng.random(n)
+    gains = -np.log(1.0 - rng.random((n, k)))
+    qualified = gains >= alpha
     n_above = qualified.sum(axis=1)
     m = np.where(n_above > 0, n_above, k)
-    target = np.minimum((rng.random(n) * m).astype(np.int64), m - 1)
+    target = np.minimum((pick * m).astype(np.int64), m - 1)
     candidates = np.flatnonzero(qualified | (n_above == 0)[:, None])
-    g = -np.log(1.0 - u.ravel()[candidates[np.cumsum(m) - m + target]])
+    g = gains.ravel()[candidates[np.cumsum(m) - m + target]]
     if abs(rho) == 1.0:
-        return g, g, n_above
+        return (g, g, n_above), gains
     s = math.sqrt(0.5 * (1.0 - rho * rho))
     w = rng.standard_normal((2, n))
-    return g, (abs(rho) * np.sqrt(g) + s * w[0]) ** 2 + (s * w[1]) ** 2, n_above
+    return (g, (abs(rho) * np.sqrt(g) + s * w[0]) ** 2 + (s * w[1]) ** 2, n_above), gains
+
+
+def _one_shot_panels(rng, rho, n, k, alpha):
+    """_one_shot over the panels of max(1, _PANEL // K) blocks that make up n."""
+    rows = max(1, _PANEL // k)
+    return [_one_shot(rng, rho, min(rows, n - start), k, alpha) for start in range(0, n, rows)]
+
+
+def _all_gains(rng, rho, n, k):
+    """Every user's gain over n blocks, read off the stream the sampler consumes."""
+    return np.concatenate([gains for _, gains in _one_shot_panels(rng, rho, n, k, 0.0)])
 
 
 class TestPanels:
@@ -95,13 +116,16 @@ class TestPanels:
                                      (200_000, 3)])
     @pytest.mark.parametrize("rho", [0.5, 1.0, -1.0])
     def test_bit_identical_to_one_shot(self, k, n, rho):
-        # alpha = log K + 1 leaves most blocks silent, alpha = 50 all of them.
+        # A chunk is its panels, each drawn and resolved in one shot.  alpha = log K + 1
+        # leaves most blocks silent, alpha = 50 all of them.
         for alpha in (0.0, 1.0, math.log(k) + 1.0, 50.0):
-            got = _draw_blocks(np.random.default_rng([9, k]), rho, n, k, alpha)
-            want = _one_shot(np.random.default_rng([9, k]), rho, n, k, alpha)
-            for x, y in zip(got, want):
-                assert x.dtype == y.dtype
-                np.testing.assert_array_equal(x, y)
+            got = list(_draw_blocks(np.random.default_rng([9, k]), rho, n, k, alpha))
+            want = _one_shot_panels(np.random.default_rng([9, k]), rho, n, k, alpha)
+            assert len(got) == len(want)
+            for panel, (reference, _) in zip(got, want):
+                for x, y in zip(panel, reference, strict=True):
+                    assert x.dtype == y.dtype
+                    np.testing.assert_array_equal(x, y)
 
     @pytest.mark.parametrize("alpha", [0.0, 1e-300, 1.0, 3.5, 36.0, 36.7, 37.0, 50.0])
     def test_cut_is_the_gains_own_bit(self, alpha):
@@ -113,16 +137,22 @@ class TestPanels:
         np.testing.assert_array_equal(u >= cut, -np.log(1.0 - u) >= alpha)
         assert (cut == 1.0) == (alpha > 53 * math.log(2.0))
 
-    def test_chunk_memory_is_bounded(self):
-        # The (2^16, 256) gains of one chunk alone take 128 MiB.
-        cfg = _cfg(num_users=256, threshold=3.5, n_blocks=_CHUNK)
+    @staticmethod
+    def _peak_of_one_chunk(k, alpha):
         tracemalloc.start()
         try:
-            simulate_ergodic_rate(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
+            simulate_ergodic_rate(_cfg(num_users=k, threshold=alpha, n_blocks=_CHUNK))
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+
+    def test_chunk_memory_is_bounded(self):
+        # The (2^16, 256) gains of one chunk alone take 128 MiB, a panel of them 0.5 MiB.
+        assert self._peak_of_one_chunk(256, 3.5) < 2 * 2**20
+
+    def test_silent_chunk_memory_is_bounded(self):
+        # At alpha = log K + 1, Pr(N = 0) = 0.69: the pick of most blocks reads all K users.
+        assert self._peak_of_one_chunk(256, math.log(256) + 1.0) < 2 * 2**20
 
 
 class TestErgodicAgainstClosedForm:
@@ -201,7 +231,7 @@ class TestPowerAccounting:
         assert simulate_outage(cfg).mean < 0.01
         # P1 near the float limit and P0 = 0: the mean is P1 times the transmitting fraction.
         cfg = _cfg(mode=PowerMode.explicit(1.7e308, 0.0), n_blocks=1000)
-        _, _, n_above = _draw_blocks(_chunk_rng(cfg.seed, 0), cfg.corr.rho, 1000, 4, 1.0)
+        _, _, n_above = _draw(_chunk_rng(cfg.seed, 0), cfg.corr.rho, 1000, 4, 1.0)
         mean = simulate_avg_power(cfg).mean
         assert math.isfinite(mean)
         assert mean == pytest.approx(1.7e308 * (n_above > 0).mean(), rel=1e-15)
@@ -219,7 +249,7 @@ class TestPowerAccounting:
         alpha = default_threshold(mode, power, rate)
         cfg = _cfg(num_users=16, power=power, threshold=alpha, mode=mode, n_blocks=1000)
         p1, p0 = mode.resolve(power, alpha, 16)
-        _, _, n_above = _draw_blocks(_chunk_rng(cfg.seed, 0), cfg.corr.rho, 1000, 16, alpha)
+        _, _, n_above = _draw(_chunk_rng(cfg.seed, 0), cfg.corr.rho, 1000, 16, alpha)
         assert p0 > 1e16 * p1 and (n_above > 0).all()
         mean = simulate_avg_power(cfg).mean
         assert min(p1, p0) <= mean <= max(p1, p0)
@@ -237,9 +267,7 @@ class TestBlockRecords:
         cfg = _cfg(
             n_blocks=500, rate_nats=1.5, mode=PowerMode.explicit(8.0, 2.0)
         )
-        _, g_tau, n_above = _draw_blocks(
-            _chunk_rng(cfg.seed, 0), cfg.corr.rho, 500, 4, cfg.threshold
-        )
+        _, g_tau, n_above = _draw(_chunk_rng(cfg.seed, 0), cfg.corr.rho, 500, 4, cfg.threshold)
         assert np.all((n_above >= 0) & (n_above <= 4))
         tx_power = np.where(n_above > 0, 8.0, 2.0)
         achieved = np.log1p(g_tau * tx_power)
@@ -255,8 +283,9 @@ class TestBlockRecords:
         assert power == simulate_avg_power(_cfg(n_blocks=70_000, mode=mode))
 
     def test_qualified_selection(self):
-        g, _, n_above = _draw_blocks(np.random.default_rng(3), 0.9, 2000, 4, 1.0)
-        gains = -np.log(1.0 - np.random.default_rng(3).random((2000, 4)))  # drawn first
+        # 70,000 blocks at K = 4 span five panels.
+        g, _, n_above = _draw(np.random.default_rng(3), 0.9, 70_000, 4, 1.0)
+        gains = _all_gains(np.random.default_rng(3), 0.9, 70_000, 4)
         np.testing.assert_array_equal(n_above, (gains >= 1.0).sum(axis=1))
         assert np.all(g[n_above > 0] >= 1.0)
         # the scheduled gain is that of one of the block's own candidates
@@ -289,7 +318,7 @@ class TestSchedulingLaw:
     BLOCKS = 200_000
 
     def _draw(self, k, seed):
-        return _draw_blocks(np.random.default_rng(seed), 0.9, self.BLOCKS, k, self.ALPHA)
+        return _draw(np.random.default_rng(seed), 0.9, self.BLOCKS, k, self.ALPHA)
 
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_mean_count_of_one_bits(self, k):
@@ -319,7 +348,7 @@ class TestSchedulingLaw:
         # By symmetry each user is scheduled in 1/K of the blocks; picking the
         # first or the strongest candidate would not be.
         g, _, _ = self._draw(k, seed=300 + k)
-        gains = -np.log(1.0 - np.random.default_rng(300 + k).random((self.BLOCKS, k)))
+        gains = _all_gains(np.random.default_rng(300 + k), 0.9, self.BLOCKS, k)
         users = np.argmax(gains == g[:, None], axis=1)
         share = np.bincount(users, minlength=k) / self.BLOCKS
         se = math.sqrt((1 / k) * (1 - 1 / k) / self.BLOCKS)
@@ -327,29 +356,31 @@ class TestSchedulingLaw:
 
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_draws_per_block(self, k):
-        rng = _CountingGenerator(np.random.default_rng(0))
-        _draw_blocks(rng, 0.9, 1000, k, self.ALPHA)
-        assert rng.counts == {"random": 1000 * (k + 1), "standard_normal": 2000}
-        # At rho = 1, g_tau is g: no normals.
-        rng = _CountingGenerator(np.random.default_rng(0))
-        _draw_blocks(rng, 1.0, 1000, k, self.ALPHA)
-        assert rng.counts == {"random": 1000 * (k + 1)}
+        # 1000 blocks fit one panel, 70,001 span two (K = 1) to 18 (K = 16).
+        for n in (1000, 70_001):
+            rng = _CountingGenerator(np.random.default_rng(0))
+            _draw(rng, 0.9, n, k, self.ALPHA)
+            assert rng.counts == {"random": n * (k + 1), "standard_normal": 2 * n}
+            # At rho = 1, g_tau is g: no normals.
+            rng = _CountingGenerator(np.random.default_rng(0))
+            _draw(rng, 1.0, n, k, self.ALPHA)
+            assert rng.counts == {"random": n * (k + 1)}
 
 
 def reference_full_csi_rate(num_users: int, power: float, n_blocks: int, seed: int):
     """MC mean of log(1 + P max_k v_k^2): the non-delayed full-CSI benchmark."""
     cfg = SimConfig(num_users, power, CorrelationParams(1.0), 0.0, n_blocks, seed)
 
-    def per_block(rng, n):
-        return np.log1p(power * rng.exponential(size=(n, num_users)).max(axis=1))
+    def per_chunk(rng, n):  # one panel: the whole chunk
+        yield np.log1p(power * rng.exponential(size=(n, num_users)).max(axis=1))
 
-    return _aggregate(cfg, per_block)[0]
+    return _aggregate(cfg, per_chunk)[0]
 
 
 def reference_no_csi_rate(power: float, n_blocks: int, seed: int):
     """MC mean of log(1 + P v^2) for a single unconditioned user."""
     cfg = SimConfig(1, power, CorrelationParams(0.0), 0.0, n_blocks, seed)
-    return _aggregate(cfg, lambda rng, n: np.log1p(power * rng.exponential(size=n)))[0]
+    return _aggregate(cfg, lambda rng, n: [np.log1p(power * rng.exponential(size=n))])[0]
 
 
 class TestReferences:
