@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from typing import Callable, NamedTuple
 
@@ -49,9 +50,11 @@ def _write_table(path, fmt, meta: dict, columns: list[str], rows: list[dict]):
     if path is None or path == "-":
         sys.stdout.write(text)
         sys.stdout.flush()  # a closed pipe raises here, inside main
-    else:
-        with open(path, "w") as fh:
+    else:  # in place: an O_TRUNC would free the blocks that the write allocates again
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()  # the old bytes past the text; pipes and devices are streams
 
 
 # The default --alpha.  The optimizer is looked up at each call, so a wrapper

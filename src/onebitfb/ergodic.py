@@ -181,18 +181,22 @@ def suboptimal_threshold(num_users: int, delta: float) -> float:
     return log_k - delta
 
 
-def _log_hazard(alpha: float, num_users: int) -> tuple[float, float]:
-    """log(-Pr'/Pr) and (log -Pr')', for Pr(N>0) = 1 - (1 - e^-alpha)^K and alpha > 0.
+def _log_hazard(log_alpha: float, num_users: int) -> tuple[float, float]:
+    """log(-Pr'/Pr) and d log(-Pr') / d log alpha, for Pr(N>0) = 1 - (1 - e^-alpha)^K
+    at alpha = e^log_alpha.
 
     -Pr' = K e^-alpha (1 - e^-alpha)^(K-1), in logs: the power underflows at
-    K = 1e6 and small alpha, where its log is finite.
+    K = 1e6 and small alpha, where its log is finite.  Below alpha = 1e-16,
+    1 - e^-alpha is alpha to rounding, so its log is log_alpha, also where
+    alpha is subnormal or underflows to 0.
     """
-    miss = math.exp(-alpha)
+    alpha = math.exp(log_alpha)
+    miss, hit = math.exp(-alpha), -math.expm1(-alpha)
     # log(1 - e^-alpha), to full relative precision at either end.
-    log_hit = math.log1p(-miss) if alpha > 0.5 else math.log(-math.expm1(-alpha))
+    log_hit = math.log1p(-miss) if alpha > 0.5 else math.log(hit) if alpha > 1e-16 else log_alpha
     log_slope = math.log(num_users) - alpha + (num_users - 1) * log_hit
     return (log_slope - math.log(prob_some_above(alpha, num_users)),
-            (num_users * miss - 1.0) / -math.expm1(-alpha))
+            (num_users * miss - 1.0) * (alpha / hit if alpha > 1e-16 else 1.0))
 
 
 # Newton steps either search may take.  Both stop on the step size or the
@@ -210,9 +214,12 @@ def optimal_threshold(num_users: int, power: float, corr: CorrelationParams) -> 
     rises in alpha (the max has an increasing failure rate) and the gain
     falls (I is concave in alpha), so dR/dalpha = 0 has one root, that of
     f = log h - log g, which rises.  Newton steps solve f = 0 in log alpha,
-    where f is about (K - 1) log alpha near 0, from max(log K - 1.5,
-    0.3 log K), inside the bracket [0, log K + 6] kept by the sign of f
-    (:func:`_newton`).  Each step is one pass of the rate integral that
+    where f is about (K - 1) log alpha near 0, from log max(log K - 1.5,
+    0.3 log K), inside the bracket (-inf, log(log K + 6)] kept by the sign
+    of f (:func:`_newton`).  The open lower end lets a Newton point reach a
+    root below the least normal double (at K = 2 it is about r I'/(2 I),
+    5e-321 at rho = 1e-160) where a point in alpha would underflow to 0 and
+    bisect toward it.  Each step is one pass of the rate integral that
     also gives I' and I'' (:func:`_log1p_mean`): at most 7 passes from
     K = 2 to 1e6, rho from 0.05 to 1 and P from 1e-10 to 1e15.  Where
     P (1 + alpha r) < 1e-290, I' underflows toward subnormal P, and a step
@@ -226,40 +233,40 @@ def optimal_threshold(num_users: int, power: float, corr: CorrelationParams) -> 
         return 0.0
     log_k, log_r = math.log(num_users), 2.0 * math.log(abs(corr.rho))  # r may be subnormal
 
-    def newton_step(alpha: float) -> tuple[float, float]:
+    def newton_step(log_alpha: float) -> tuple[float, float]:
+        alpha = math.exp(log_alpha)
         ErgodicConfig(num_users, power, corr, alpha)  # names an overflowing P (1 + alpha)
         if power * (1.0 + alpha * r) < 1e-290:  # the P -> 0 limit I = P (1 + alpha r), I'' = 0
             log_gain, curvature = log_r - math.log1p(alpha * r), 0.0
         else:
             rate, (mq, mq2, _) = _log1p_mean(power, alpha * r, 1.0 - r, derivatives=True)
             log_gain, curvature = log_r + math.log(mq / rate), r * mq2 / mq
-        log_h, dlog_slope = _log_hazard(alpha, num_users)
-        # f' = (log -Pr')' - Pr'/Pr - I''/I' + I'/I.
-        df = dlog_slope + math.exp(log_h) + curvature + math.exp(log_gain)
+        log_h, dlog_slope = _log_hazard(log_alpha, num_users)
+        # df/dlog alpha = alpha ((log -Pr')' - Pr'/Pr - I''/I' + I'/I).
+        df = dlog_slope + alpha * (math.exp(log_h) + curvature + math.exp(log_gain))
         f = log_h - log_gain
-        return f, alpha * math.exp(-f / (alpha * df)) if df > 0.0 else math.nan
+        return f, -f / df if df > 0.0 else math.nan
 
-    return _newton(newton_step, max(log_k - 1.5, 0.3 * log_k), 0.0, log_k + 6.0,
-                   "optimal_threshold")
+    return math.exp(_newton(newton_step, math.log(max(log_k - 1.5, 0.3 * log_k)),
+                            math.log(log_k + 6.0), "optimal_threshold"))
 
 
-def _newton(step_at, x: float, lo: float, up: float, name: str, f_tol: float = 0.0) -> float:
-    """The root of an increasing f in (lo, up), by safeguarded Newton steps from x.
+def _newton(step_at, x: float, up: float, name: str, f_tol: float = 0.0) -> float:
+    """The root of an increasing f below ``up``, by safeguarded Newton steps from x.
 
-    ``step_at(x)`` returns f(x) and the Newton point there, or NaN where it
-    has none: a point, not a step, since x plus a step of nearly -x would
-    lose a point far below x to rounding.  The sign of f keeps a bracket.
-    The first point past a finite ``up`` is ``up`` itself; any other point
-    outside the bracket, or a step that does not halve the step before
-    last, gives way to a bisection (4 toward the root while an end of the
-    bracket is infinite).
+    ``step_at(x)`` returns f(x) and the Newton step there, or NaN where it
+    has none.  The sign of f keeps a bracket.  The first point past ``up``
+    is ``up`` itself; any other point outside the bracket, or a step that
+    does not halve the step before last, gives way to a bisection (4 below
+    x while the bracket has no lower end).
     Returns x once |f(x)| is at most ``f_tol``, or the next point once it is
     within 1e-12 of x or the bracket is 1e-12 wide.  Reaching ``_MAX_STEPS``
     raises ArithmeticError naming ``name``.
     """
-    last, before, top = math.inf, math.inf, up  # top: the upper end, until a step lands on it
+    lo, last, before, top = -math.inf, math.inf, math.inf, up  # top: up, until a step lands on it
     for _ in range(_MAX_STEPS):
-        f, point = step_at(x)
+        f, step = step_at(x)
+        point = x + step
         if abs(f) <= f_tol:
             return x
         if abs(point - x) <= 1e-12:
@@ -357,11 +364,11 @@ def rate_at_ebn0(
                                 " underflows to 0")
         miss = ebn0_db_from_power(prob * rate, power) - ebn0_db
         slope = _DB_PER_NEPER * (1.0 - dpower / rate)
-        return miss, log_power - miss / slope if slope > 0.0 else math.nan
+        return miss, -miss / slope if slope > 0.0 else math.nan
 
     start = (ebn0_db - wb.ebn0_min_db) / _DB_PER_NEPER * wb.ebn0_min_linear * wb.slope_s0 / _LOG2
     log_cap = _LOG_FLOAT_MAX - math.log1p(alpha) - 1e-12  # a margin for exp's roundoff
-    power = math.exp(_newton(newton_step, min(math.log(start), log_cap), -math.inf, log_cap,
+    power = math.exp(_newton(newton_step, min(math.log(start), log_cap), log_cap,
                              "rate_at_ebn0", f_tol=1e-12))
     rate = sum_rate(ErgodicConfig(num_users, power, corr, alpha))
     if ebn0_db_from_power(rate, power) < ebn0_db - 1e-9:

@@ -169,6 +169,66 @@ class TestOutputHandling:
         assert sum(line.startswith("# ") for line in out.splitlines()) == 6
         assert list(tmp_path.iterdir()) == []
 
+    # --out rewrites an existing file in place and cuts it to the new text.
+    @pytest.mark.parametrize("argv", [
+        ["ergodic", "--k", "4", "--rho", "0.5", "--alpha", "1", "--sweep", "snr-db=0:10:3"],
+        ["dmt", "--scheme", "outdated", "--k", "4", "--format", "json"],
+        ["figure", "fig5"],
+    ])
+    @pytest.mark.parametrize("before", ["longer", "shorter", "same"])
+    def test_rewrite_equals_a_fresh_write(self, capsys, tmp_path, argv, before):
+        ext = "json" if "json" in argv else "csv"
+        fresh, again = tmp_path / "fresh", tmp_path / "again"
+        fresh.mkdir()
+        again.mkdir()
+        assert main(argv + ["--out", str(fresh / f"out.{ext}")]) == 0
+        want = {p.name: p.read_bytes() for p in fresh.iterdir()}
+        assert len(want) == (6 if "fig5" in argv else 1)
+        old = {"longer": lambda b: b + b"9" * 4096, "shorter": lambda b: b[: len(b) // 3],
+               "same": lambda b: b}[before]
+        for name, text in want.items():
+            (again / name).write_bytes(old(text))
+        assert main(argv + ["--out", str(again / f"out.{ext}")]) == 0
+        assert {p.name: p.read_bytes() for p in again.iterdir()} == want
+        assert capsys.readouterr().out == ""
+
+    def test_rewrite_keeps_the_file_and_never_truncates_on_open(self, capsys, monkeypatch,
+                                                                 tmp_path):
+        # O_TRUNC frees the file's blocks, which the write then allocates again.
+        path = tmp_path / "out.csv"
+        path.write_text("x" * 10_000)
+        inode = path.stat().st_ino
+        opened, os_open = [], os.open
+
+        def spy(file, flags, *args, **kwargs):
+            opened.append((os.fspath(file), flags))
+            return os_open(file, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert main(["ergodic", "--k", "4", "--rho", "0.5", "--alpha", "1",
+                     "--out", str(path)]) == 0
+        assert [file for file, _ in opened] == [str(path)]
+        assert all(not flags & os.O_TRUNC for _, flags in opened)
+        assert path.stat().st_ino == inode
+        _, rows = parse_csv(path.read_text())
+        assert len(rows) == 1
+
+    def test_dev_null_out(self, capsys):
+        # A device cannot be cut to length; it is written as a stream.
+        assert main(["ergodic", "--k", "4", "--rho", "0.5", "--alpha", "1",
+                     "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_dev_stdout_out_into_a_pipe(self, capsys):
+        argv = ["ergodic", "--k", "4", "--rho", "0.5", "--alpha", "1", "--sweep", "snr-db=0:10:3"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(onebitfb.__file__))
+        command = [sys.executable, "-m", "onebitfb.cli", *argv, "--out", "/dev/stdout"]
+        done = subprocess.run(command, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
     @pytest.mark.parametrize("argv", [["dmt", "--k", "4"], ["figure", "fig5"]])
     def test_closed_stdout_stops_quietly(self, argv):
         # The pipe's read end is closed before the command starts, as after

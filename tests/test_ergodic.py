@@ -68,6 +68,21 @@ def full_csi_mpmath(k: int, power: float) -> float:
         return float(mpmath.quad(f, [lo, *breaks, hi]))
 
 
+def kibble_brace(alpha: float, rho: float):
+    """Pr(v_tau^2 >= alpha | v^2 >= alpha) by Kibble's bivariate-exponential series,
+    e^alpha sum_n (1 - r) r^n Q(n + 1, alpha / (1 - r))^2 with r = rho^2, to 50 digits."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(rho) ** 2
+        x = mpmath.mpf(alpha) / (1 - r)
+        total, n = mpmath.mpf(0), 0
+        while True:
+            term = (1 - r) * r ** n * mpmath.gammainc(n + 1, x, regularized=True) ** 2
+            total += term
+            if n > x and term < total * mpmath.mpf(10) ** -55:
+                return mpmath.exp(alpha) * total
+            n += 1
+
+
 def rician_mixture_rate(power: float, rho: float, alpha: float) -> float:
     """E[log(1 + P v_tau^2) | v^2 >= alpha] by scipy's quad, without Pr(N>0).
 
@@ -240,6 +255,15 @@ class TestBounds:
     def test_bracket_asymptotic_path_cancels(self):
         # the two asymptotic terms are symmetric, so the bracket is exactly 1
         assert rate_bracket(math.log(1e8) - 2.0, CorrelationParams(0.5), asymptotic=True) == 1.0
+
+    # Acceptance criterion 10's point is alpha = ln 1e8 - 2, rho = 0.5, where the
+    # brace is 9.9941227293e-4; at fixed |rho| < 1 it falls toward 0 (8.25e-9 at 50).
+    @pytest.mark.parametrize("alpha,rel,abs_", [(math.log(1e8) - 2.0, 1e-12, 0.0),
+                                               (10.0, 1e-12, 0.0), (50.0, 0.0, 1e-15)])
+    def test_bracket_matches_kibble_series(self, alpha, rel, abs_):
+        want = kibble_brace(alpha, 0.5)
+        assert rate_bracket(alpha, CorrelationParams(0.5)) == pytest.approx(
+            float(want), rel=rel, abs=abs_)
 
     @pytest.mark.parametrize("alpha,rho", [(5.0, 0.5), (1.0, 1e-100), (0.01, 1e-200),
                                            (0.1, 1e-100), (1e308, 0.5), (1e-320, 1e-10)])
@@ -431,9 +455,9 @@ def rate_derivatives(k, power, rho, alpha):
     r = rho * rho
     rate, (mq, mq2, p_drate) = ergodic._log1p_mean(power, alpha * r, 1.0 - r, derivatives=True)
     prob = prob_some_above(alpha, k)
-    log_hazard, dlog_slope = ergodic._log_hazard(alpha, k)
+    log_hazard, dlog_slope = ergodic._log_hazard(math.log(alpha), k)
     dprob = -prob * math.exp(log_hazard)
-    ddprob = dprob * dlog_slope
+    ddprob = dprob * dlog_slope / alpha
     return (dprob * rate + prob * r * mq,
             ddprob * rate + 2.0 * dprob * r * mq - prob * r * r * mq2,
             prob * p_drate / power)
@@ -530,6 +554,24 @@ class TestNewtonSearches:
         passes = count_passes(monkeypatch)
         assert optimal_threshold(4, power, CorrelationParams(rho)) == pytest.approx(want, rel=1e-9)
         assert len(passes) <= 7
+
+    # At K = 2 the hazard is 2 (1 - e^-alpha) / (2 - e^-alpha), so h = x at
+    # alpha = log1p(x / (2 - 2 x)).  At rho = 1e-160 that root is subnormal, alpha r
+    # is below 1e-600 and 1 - r is 1 to 1e-320, so x = r I'/I takes its alpha = 0
+    # value, with I = e^(1/P) E1(1/P) and I' = r (1 - I/P); 300 digits carry
+    # 1 - I/P at P = 1e-200.  The search returns the nearest double to the root:
+    # 5e-321, 3.384e-321 and, at P = 1e300, 5e-324 (the root is 7.24e-324, since
+    # there I = 690 and the root is about r / (2 I), not r / 2).
+    @pytest.mark.parametrize("power", [1e-200, 1.0, 1e300])
+    def test_subnormal_root_is_a_newton_point(self, monkeypatch, power):
+        passes = count_passes(monkeypatch)
+        got = optimal_threshold(2, power, CorrelationParams(1e-160))
+        assert len(passes) <= 7
+        with mpmath.workdps(300):
+            r, p = mpmath.mpf(1e-160) ** 2, mpmath.mpf(power)
+            rate = mpmath.exp(1 / p) * mpmath.e1(1 / p)
+            x = r * (1 - rate / p) / rate
+            assert abs(got - mpmath.log1p(x / (2 - 2 * x))) <= mpmath.mpf(math.ulp(0.0)) / 2
 
     def test_step_limit_raises(self, monkeypatch, capsys):
         monkeypatch.setattr(ergodic, "_MAX_STEPS", 2)
