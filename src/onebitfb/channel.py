@@ -3,7 +3,9 @@
 The channel envelope is observed at estimation time (v) and again, after the
 feedback delay, at transmission time (v_tau).  Both are unit-power Rayleigh;
 their joint law is controlled by the temporal correlation coefficient rho,
-which Jakes' model ties to the Doppler spread and the delay.
+which Jakes' model ties to the Doppler spread and the delay.  Feedback is
+instantaneous at |rho| = 1 exactly; every |rho| < 1 takes the outdated forms,
+which tend to the instantaneous ones continuously as |rho| -> 1.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
 __all__ = [
     "CorrelationParams",
@@ -21,10 +22,6 @@ __all__ = [
     "check_nonnegative",
     "rho_from_jakes",
 ]
-
-# Treat |rho| this close to 1 as exact instantaneous feedback; the outdated
-# closed forms divide by 1 - rho^2 and lose all precision before this point.
-RHO_ONE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ class CorrelationParams:
 
     @property
     def is_instantaneous(self) -> bool:
-        return 1.0 - self.abs_rho < RHO_ONE_TOL
+        return self.abs_rho == 1.0
 
 
 # The rules for the other inputs of every closed form and config: a count
@@ -72,4 +69,5 @@ def rho_from_jakes(doppler_hz: float, delay_s: float) -> CorrelationParams:
     """Map Doppler spread (Hz) and feedback delay (s) to the correlation J0(2 pi f_D tau)."""
     if doppler_hz < 0 or delay_s < 0:
         raise ValueError("doppler_hz and delay_s must be nonnegative")
+    import scipy.special as sc  # imported here: it costs a CLI run about 0.2 s
     return CorrelationParams(float(sc.j0(2.0 * math.pi * doppler_hz * delay_s)))

@@ -394,7 +394,7 @@ def _check_out(args) -> None:
 
 
 def _rate_rows(rate_at, pt):
-    """A rate curve's row at ``pt``: ``rate_at`` of the point's one value, in nats
+    """A rate curve's row at ``pt``: ``rate_at`` of the point's values, in nats
     and bits.  ``rate_at`` takes the place of the parsed arguments."""
     rate = rate_at(*pt.values())
     yield {**pt, "rate_nats": rate, "rate_bits": rate / _LOG2}
@@ -402,14 +402,17 @@ def _rate_rows(rate_at, pt):
 
 def _figure1(args):
     """Ergodic sum-rate vs number of users at P = --snr-db (default 20 dB)."""
+    def onebit(k, snr_db, rho):  # the 1-bit sum rate at the optimal threshold
+        corr, power = _channel({"rho": rho}, snr_db)
+        alpha = ergodic.optimal_threshold(k, power, corr)
+        return ergodic.sum_rate(ergodic.ErgodicConfig(k, power, corr, alpha))
     power = 10.0 ** (args.snr_db / 10.0)
     ks = ("k", [2 ** i for i in range(1, 11)])
     yield "full_csi", _sweep_rows(lambda k: ergodic.full_csi_rate(k, power), _rate_rows,
                                   {"k": 1}, ks)
-    optimal = argparse.Namespace(alpha=None)
     for rho in (1.0, 0.9, 0.5):
         base = {"k": 1, "snr_db": args.snr_db, "rho": rho}
-        yield f"onebit_rho{rho}", _sweep_rows(optimal, _ergodic_rows, base, ks)
+        yield f"onebit_rho{rho}", _sweep_rows(onebit, _rate_rows, base, ks)
     yield "no_csi", _sweep_rows(lambda k: ergodic.no_csi_rate(power), _rate_rows, {"k": 1}, ks)
 
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
 __all__ = [
     "QuadratureSpec",
@@ -63,12 +62,12 @@ def marcum_q1(a, b):
 
     Where |a - b| > 40 the exponential bounds (see :func:`marcum_q1_bounds`)
     put Q1 within 1e-300 of 0 or 1, and that value is returned: ``chndtr``
-    gives NaN there once a^2 or b^2 passes about 1e19.  Nearer the ridge it
-    stops converging (NaN) once max(a, b) passes about 2e5; there Q1 is
-    ndtr(a - b) + exp(-(a-b)^2/2) i0e(ab) / 2, which keeps the complement
-    identity exactly, is exact at a = b and is within 0.034/(ab) absolute
-    of a 40-digit quadrature of the defining integral: under 1e-12 wherever
-    it is used.
+    gives NaN there once a^2 or b^2 passes about 1e19.  Where ab > 3.4e10, or
+    ``chndtr`` gives NaN, Q1 is ndtr(a - b) + exp(-(a-b)^2/2) i0e(ab) / 2,
+    which keeps the complement identity exactly, is exact at a = b and is
+    within 0.034/(ab) absolute of a 40-digit quadrature of the defining
+    integral: under 1e-12, as close as ``chndtr`` comes near the ridge,
+    where ``chndtr`` costs O(max(a, b)) time.
 
     Scalars give a float; arrays broadcast, each element a scalar call.
     """
@@ -82,11 +81,11 @@ def marcum_q1(a, b):
     d = a - b
     if abs(d) > 40.0:
         return float(b < a)
-    # Squares and a b overflow past about 1.3e154; chndtr is then NaN and the
-    # ridge form decides.  Both branches need chndtr(min^2, 2, max^2).  np.exp
-    # keeps the bits of numpy's array exp, which math.exp misses on some pairs.
+    # Both branches need chndtr(min^2, 2, max^2).  np.exp keeps the bits of
+    # numpy's array exp, which math.exp misses on some pairs.
+    import scipy.special as sc  # imported here: it costs a CLI run about 0.2 s
     lo, hi = min(a, b), max(a, b)
-    tail = sc.chndtr(lo * lo, 2.0, hi * hi)
+    tail = sc.chndtr(lo * lo, 2.0, hi * hi) if a * b <= 3.4e10 else math.nan
     out = 1.0 - tail if b < a else np.exp(-0.5 * (d * d)) * sc.i0e(a * b) + tail
     if math.isnan(out):
         out = sc.ndtr(d) + 0.5 * np.exp(-0.5 * d * d) * sc.i0e(a * b)

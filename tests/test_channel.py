@@ -56,8 +56,13 @@ class TestParams:
         c = CorrelationParams(-0.7)
         assert c.abs_rho == 0.7
         assert not c.is_instantaneous
-        assert CorrelationParams(1.0).is_instantaneous
-        assert CorrelationParams(1.0 - 1e-12).is_instantaneous
+        # Instantaneous means |rho| = 1 exactly.  A band within 1e-9 of 1 used to
+        # count too; the outdated forms hold there (tests/test_outage.py), so no
+        # |rho| < 1 is snapped to 1.
+        below_one = math.nextafter(1.0, 0.0)
+        for sign in (1.0, -1.0):
+            assert CorrelationParams(sign).is_instantaneous
+            assert not CorrelationParams(sign * below_one).is_instantaneous
 
     def test_jakes_golden(self):
         # J0(2*pi*50*0.001), frozen via mpmath besselj

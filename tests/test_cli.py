@@ -582,6 +582,29 @@ print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.module
     assert done.stdout.strip() == "[]"
 
 
+def test_no_special_import_without_marcum_q_or_j0(tmp_path):
+    """Commands that evaluate neither Marcum-Q nor J0 leave scipy.special, about
+    0.2 s of import, unloaded; the last command evaluates Marcum-Q."""
+    commands = [
+        "figure fig1", "figure fig2", "figure fig3", "figure fig5", "wideband --k 8 --rho 0.9",
+        "dmt --k 16", "simulate --k 4 --rho 0.5 --n-blocks 100", "ergodic --k 4 --rho 0",
+        "ergodic --k 4 --rho 1", "outage --k 4 --rho 0 --rate-bits 1",
+        "outage --k 4 --rho 1 --rate-bits 1", "outage --k 4 --rho 0.5 --rate-bits 1",
+    ]
+    code = """
+import sys
+from onebitfb import cli
+for argv in sys.argv[2:]:
+    assert cli.main(argv.split() + ["--out", sys.argv[1]]) == 0
+    print("scipy.special" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(onebitfb.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv"), *commands],
+                          capture_output=True, text=True, check=True, env=env)
+    assert done.stdout.split() == ["False"] * (len(commands) - 1) + ["True"]
+
+
 # CLI fuzz: argv built from cli._FLAGS, each flag with extremes of its valid
 # range and a few invalid values.  simulate takes K from its own short list,
 # since its arrays grow with K times --n-blocks, and large --n-blocks are left
@@ -589,7 +612,8 @@ print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.module
 _FUZZ_VALUES = {
     "k": ["0", "1", "2", "16", "1000000", "1000000000000"],
     "snr-db": ["-300", "-60", "0", "20", "60", "300", "nan"],
-    "rho": ["-1", "-0.5", "0", "0.5", "0.9", "0.999999998", "1", "1.5"],
+    "rho": ["-1", "-0.5", "0", "0.5", "0.9", "0.999999998", "0.999999999999",
+            "0.9999999999999999", "1", "1.5"],
     "doppler-hz": ["0", "50", "1e300", "-1"],
     "delay-s": ["0", "0.001", "1e300", "inf"],
     "alpha": ["optimal", "suboptimal:1", "suboptimal:1e300", "0", "1", "705", "720", "1e300",

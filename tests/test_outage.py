@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from onebitfb.channel import CorrelationParams
-from onebitfb.ergodic import prob_some_above
+from onebitfb.ergodic import prob_some_above, rate_bracket
 from onebitfb.outage import (
     DMT_SCHEMES,
     OutageConfig,
@@ -219,6 +219,31 @@ class TestOutdated:
             cfg = OutageConfig(4, power, CorrelationParams(1.0 - one_minus_rho), rate, alpha, mode)
             gap = abs(outage_outdated(cfg).eps - at_one.eps)
             assert gap / math.sqrt(one_minus_rho) == pytest.approx(scale, rel=1e-3)
+
+    @staticmethod
+    def gaps_to_rho_one(rho):
+        """eps1, 1 - rate brace and 1 - eps0 at rho, short-term power, R = 3 bits,
+        P = 31.6 and the zero-outage threshold (e^R - 1)/P; each is 0 at rho = 1."""
+        rate, power = 3.0 * LOG2, 31.6
+        alpha, corr = math.expm1(rate) / power, CorrelationParams(rho)
+        return np.array([eps1_outdated(rate, power, alpha, corr),
+                         1.0 - rate_bracket(alpha, corr),
+                         1.0 - eps0_outdated(rate, power, alpha, corr)])
+
+    def test_square_root_law_through_the_old_snap_band(self):
+        # Each gap is c sqrt(1 - rho), c constant to 1e-3 down to 1 - rho = 1e-11,
+        # inside the band 1 - rho < 1e-9 that used to count as rho = 1.
+        rhos = [1.0 - x for x in (1e-6, 1e-9, 1e-11)]
+        scales = [self.gaps_to_rho_one(rho) / math.sqrt(1.0 - rho) for rho in rhos]
+        for scale in scales:
+            np.testing.assert_allclose(scale, [0.37553, 0.37553, 1.5144], rtol=1e-3)
+            np.testing.assert_allclose(scale, scales[0], rtol=1e-3)
+
+    def test_last_double_below_one_is_near_rho_one(self):
+        at_one = self.gaps_to_rho_one(1.0)
+        below = self.gaps_to_rho_one(math.nextafter(1.0, 0.0))
+        assert np.all(below > 0.0)  # the outdated forms run at every |rho| < 1
+        np.testing.assert_allclose(below, at_one, rtol=0, atol=5e-8)
 
     @pytest.mark.parametrize("form", [eps1_outdated, eps0_outdated])
     def test_tiny_power_is_the_zero_power_limit(self, form):

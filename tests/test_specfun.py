@@ -59,6 +59,24 @@ MARCUM_RIDGE_GOLDENS = [
     (10000000.0, 9999995.0, 0.9999997133485025),
 ]
 
+# Frozen as MARCUM_RIDGE_GOLDENS, on both sides of ab = 3.4e10, where
+# marcum_q1 leaves chndtr for the ridge form.
+MARCUM_CUTOFF_GOLDENS = [
+    (100000.0, 99999.5, 0.69146422160284736),
+    (100000.0, 100000.5, 0.30853929905042034),
+    (100000.0, 99997.0, 0.99865012412777816),
+    (100000.0, 100003.0, 0.0013499201907059627),
+    (185000.0, 184999.5, 0.69146341280256621),
+    (185000.0, 185000.5, 0.30853849025325415),
+    (185000.0, 184997.0, 0.99865011394638715),
+    (185000.0, 185003.0, 0.0013499100095502165),
+    (190000.0, 189999.5, 0.69146338776232465),
+    (190000.0, 190000.5, 0.30853846521307938),
+    (190000.0, 189997.0, 0.99865011363117492),
+    (190000.0, 190003.0, 0.0013499096943430365),
+]
+
+
 class TestMarcumQ1:
     @pytest.mark.parametrize("a,b,want", MARCUM_GOLDENS)
     def test_quadrature_goldens(self, a, b, want):
@@ -122,13 +140,26 @@ class TestMarcumQ1:
 
     @pytest.mark.parametrize("a,b,want", MARCUM_RIDGE_GOLDENS)
     def test_ridge_past_chndtr(self, a, b, want):
-        # Where chndtr is NaN the normal-plus-ridge form runs, off by at most
-        # 0.034/(ab); where chndtr still converges it is up to 6e-12 off.
-        if np.isnan(special.chndtr(min(a, b) ** 2, 2.0, max(a, b) ** 2)):
-            tol = 0.04 / (a * b) + 2.3e-16
-        else:
-            tol = 1e-11
-        assert marcum_q1(a, b) == pytest.approx(want, rel=0, abs=tol)
+        # ab > 3.4e10 at each point, so the normal-plus-ridge form runs, off by at
+        # most 0.034/(ab).
+        assert marcum_q1(a, b) == pytest.approx(want, rel=0, abs=0.04 / (a * b) + 2.3e-16)
+
+    @pytest.mark.parametrize("a,b,want", MARCUM_CUTOFF_GOLDENS)
+    def test_near_the_chndtr_cutoff(self, a, b, want):
+        # chndtr below ab = 3.4e10 and the ridge form above it are equally close.
+        assert marcum_q1(a, b) == pytest.approx(want, rel=0, abs=2.5e-12)
+
+    def test_no_chndtr_past_the_cutoff(self, monkeypatch):
+        # Near the ridge chndtr costs O(max(a, b)) time, 7 ms a call at 1e5.
+        calls = []
+        chndtr = special.chndtr
+        monkeypatch.setattr(special, "chndtr", lambda *args: calls.append(args) or chndtr(*args))
+        for a in (185000.0, 1e6, 1e100, 1e200):  # 185000^2 = 3.4225e10
+            for d in (0.0, 0.5, -0.5, 3.0, -3.0, 39.0, -39.0):
+                marcum_q1(a, a - d)
+        assert calls == []
+        marcum_q1(184000.0, 184000.0)  # ab = 3.3856e10
+        assert len(calls) == 1
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
